@@ -8,10 +8,8 @@
 // per-port conservation book fails to balance — every bench run is also
 // a correctness check.
 //
-// The three headline views the driver assembles from this binary:
+// The two headline views run_benchmarks.py assembles from this binary:
 //   * pps vs --shards        (scaling curve, fixed batch)
-//   * --batch 32 vs --batch 1 at one shard (batched span pipeline vs
-//     the per-call scalar path it replaces)
 //   * --supervision on vs off at one shard (fault-domain overhead on
 //     the healthy path: heartbeats + deferred ring commits + periodic
 //     checkpoints, no faults; paired-ratio row with a <= 3% bar)
@@ -28,13 +26,9 @@ int main(int argc, char** argv) {
   flags.define_int("shards", 2, "worker shards (each adds a generator + "
                    "worker thread pair)");
   flags.define_int("ports-per-shard", 1, "output ports owned per shard");
-  flags.define_int("packets", 500'000,
-                   "packets emitted per port (deterministic mode); "
-                   "0 = run for --duration-ms of wall clock instead");
-  flags.define_int("duration-ms", 0,
-                   "wall-clock run length when --packets 0");
+  flags.define_int("packets", 500'000, "packets emitted per port (> 0)");
   flags.define_int("batch", 32,
-                   "burst size on every stage; 1 = per-call scalar path");
+                   "burst size on every stage (1 = one-packet bursts)");
   flags.define_int("ring", 1024, "SPSC ring capacity per shard");
   flags.define_int("service-depth", 128,
                    "steady-state per-port queue depth workers service to");
@@ -62,7 +56,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("ports-per-shard"));
   cfg.packets_per_port =
       static_cast<std::uint64_t>(flags.get_int("packets"));
-  cfg.run_wall_ns = flags.get_int("duration-ms") * 1'000'000;
   cfg.batch = static_cast<std::size_t>(flags.get_int("batch"));
   cfg.ring_capacity = static_cast<std::size_t>(flags.get_int("ring"));
   cfg.service_depth =

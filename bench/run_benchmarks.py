@@ -543,14 +543,8 @@ def run_dataplane_mode(args):
       * pps vs shards — the pipelined mode (generator thread -> SPSC
         ring -> worker thread per shard), median pps over --runs runs
         per point. Bounded by host cores: each shard needs two.
-      * batched vs per-call at one shard — the fused run-to-completion
-        mode (no cross-thread handoff), --batch 32 against --batch 1,
-        ratio of median pps. Fused isolates the pipeline change under
-        measurement (zero-copy ring spans + span pipeline + batch PIFO
-        ops vs per-packet copies + scalar calls through the virtual
-        Scheduler interface); on hosts with fewer cores than threads
-        the pipelined wall clock is mostly OS scheduling, which hits
-        both modes alike and buries the architectural difference.
+      * supervision on vs off at one fused shard — paired ratio with a
+        hard bar (see below).
     """
     binary = os.path.join(args.build_dir, "bench", "bench_dataplane")
     if not os.path.exists(binary):
@@ -559,8 +553,8 @@ def run_dataplane_mode(args):
     shards_list = sorted({int(s) for s in args.shards_list.split(",")})
     packets = args.dataplane_packets
     host_cores = os.cpu_count() or 1
-    # The mode comparison is a ratio of medians across runs; below 5
-    # runs a single steal burst can still own the median on a shared
+    # The supervision comparison is a median of paired ratios; below 5
+    # pairs a single steal burst can still own the median on a shared
     # host.
     compare_runs = max(args.runs, 5)
 
@@ -585,24 +579,6 @@ def run_dataplane_mode(args):
             scaling[shards]["pps_median"] /
             scaling[shards_list[0]]["pps_median"], 2)
 
-    mode_pps = {}
-    for label, batch in (("batched", 32), ("percall", 1)):
-        samples = []
-        for _ in range(compare_runs):
-            r = run_dataplane_cell(binary, [
-                "--shards", "1", "--packets", str(packets),
-                "--batch", str(batch), "--fused=true"])
-            samples.append(r["pps"])
-            books_balanced = books_balanced and r["balanced"]
-        samples.sort()
-        mode_pps[label] = {
-            "batch": batch,
-            "pps_median": round(samples[len(samples) // 2]),
-            "pps_runs": [round(s) for s in samples],
-        }
-    batched_speedup = round(mode_pps["batched"]["pps_median"] /
-                            mode_pps["percall"]["pps_median"], 2)
-
     # Supervision overhead: the fault domain armed but no faults
     # injected (heartbeats + deferred ring commits + checkpoints) vs the
     # plain engine. Paired per run — off and on back to back, ratio
@@ -616,10 +592,6 @@ def run_dataplane_mode(args):
     for _ in range(compare_runs):
         pair = {}
         for label, sup in (("off", "false"), ("on", "true")):
-            # --supervision=false MUST use the = form: the space form
-            # "--supervision false" parses as supervision ON plus a
-            # positional, which silently turned this off/on comparison
-            # into on/on.
             r = run_dataplane_cell(binary, [
                 "--shards", "1", "--packets", str(packets),
                 "--fused=true", f"--supervision={sup}"])
@@ -657,13 +629,8 @@ def run_dataplane_mode(args):
                         f"'t0 >> t1 + ... + t7', last tenant "
                         f"rate-policed, seed 1",
             "aggregate": f"median pps of {args.runs} runs per scaling "
-                         f"point; ratio of medians over {compare_runs} "
-                         f"runs for the mode comparison",
-            "mode_comparison": "fused run-to-completion, 1 shard: "
-                               "--batch 32 (zero-copy ring spans, span "
-                               "pipeline, batch PIFO ops) vs --batch 1 "
-                               "(per-packet ring copies, scalar calls "
-                               "via the virtual Scheduler interface)",
+                         f"point; median of paired ratios for the "
+                         f"supervision comparison",
             "supervision_comparison": f"fused, 1 shard, paired per run "
                                       f"(off/on back to back, ratio "
                                       f"within the run), median of "
@@ -675,11 +642,6 @@ def run_dataplane_mode(args):
         },
         "host_cores": host_cores,
         "scaling": {str(s): scaling[s] for s in shards_list},
-        "batched_vs_percall": {
-            "batched": mode_pps["batched"],
-            "percall": mode_pps["percall"],
-            "batched_speedup": batched_speedup,
-        },
         "supervision_overhead": {
             "pps_runs_off": [round(s) for s in sup_pairs["off"]],
             "pps_runs_on": [round(s) for s in sup_pairs["on"]],
@@ -702,10 +664,6 @@ def run_dataplane_mode(args):
         c = scaling[s]
         print(f"  shards={s}: {c['pps_median'] / 1e6:.2f}M pps "
               f"({c['speedup_vs_1shard']}x vs 1 shard)")
-    print(f"  batched vs per-call (fused, 1 shard): "
-          f"{mode_pps['batched']['pps_median'] / 1e6:.2f}M vs "
-          f"{mode_pps['percall']['pps_median'] / 1e6:.2f}M pps "
-          f"({batched_speedup}x)")
     print(f"  supervision on/off paired ratio: {sup_ratio:.4f} "
           f"(bar {sup_bar:.2f}, within budget: {supervision_ok})")
     if not books_balanced:
@@ -719,8 +677,6 @@ def run_dataplane_mode(args):
 
 def run_simcore_cell(binary, scheme, load, per_event):
     """One timed bench_simcore invocation -> parsed JSON."""
-    # NB: bool flags must use the --flag=value form — a space-separated
-    # "--flag false" parses as "--flag" (true) plus a positional.
     out = run_child([binary, "--scheme", scheme, "--load", str(load),
                      f"--per-event={'true' if per_event else 'false'}"])
     return json.loads(out.stdout)

@@ -69,10 +69,6 @@ struct Port {
 
   qvisor::Preprocessor pre;
   sched::BucketedPifo sch;
-  /// Interface-typed view of `sch` for the per-call mode: the seed
-  /// architecture dispatched every enqueue/dequeue through Scheduler*,
-  /// so that is what batch == 1 measures.
-  sched::Scheduler& vsch = sch;
   std::uint64_t delivered_bytes = 0;
 };
 
@@ -90,7 +86,6 @@ struct Gen {
   std::size_t port;
   TimeNs clock = 0;
   std::uint64_t emitted = 0;
-  std::uint64_t generated = 0;  ///< == emitted; kept for the book merge
 };
 
 struct Shard {
@@ -148,59 +143,32 @@ Packet make_packet(Gen& g, const DataplaneConfig& cfg) {
   return p;
 }
 
-struct RoundOutcome {
-  bool budget_left = false;  ///< some port still has packets to emit
-};
-
 /// One generation round: round-robin over the shard's ports, one burst
-/// of up to `cfg.batch` packets per port. Batch mode generates straight
-/// into borrowed ring slots (zero-copy); per-call mode pays the seed
-/// architecture's per-packet copy + per-packet publish.
+/// of up to `cfg.batch` packets per port, generated straight into
+/// borrowed ring slots (zero-copy). Returns false once every port has
+/// emitted its `packets_per_port`.
 ///
 /// `spin` selects the backpressure style: true (dedicated producer
-/// thread) spins with yield until the burst fits — never a drop, so the
-/// books cannot depend on timing; false (fused mode: the caller drains
+/// thread) spins with yield until the burst fits — never a drop, so
+/// timing cannot lose a packet; false (fused mode: the caller drains
 /// the ring itself between rounds) skips a full ring and retries the
 /// port next round, which is equally lossless single-threaded.
-RoundOutcome produce_round(Shard& shard, const DataplaneConfig& cfg,
-                           bool spin) {
-  RoundOutcome outcome;
-  const bool budget_mode = cfg.packets_per_port > 0;
+bool produce_round(Shard& shard, const DataplaneConfig& cfg, bool spin) {
+  fire_producer_desyncs(shard);
+  bool budget_left = false;
   const bool poison = shard.faults != nullptr && shard.faults->any_poison();
   for (Gen& g : shard.gens) {
     // Pause check per gen, not per round: once a drain is requested, at
     // most the one in-flight burst completes, keeping recovery loss
     // bounded by ring capacity + one burst.
     if (spin && shard.pause_request.load(std::memory_order_relaxed)) {
-      outcome.budget_left = true;  // conservative: pause now, finish later
-      break;
+      return true;  // conservative: pause now, finish later
     }
-    std::size_t want = cfg.batch;
-    if (budget_mode) {
-      const std::uint64_t left = cfg.packets_per_port - g.emitted;
-      if (left == 0) continue;
-      if (left < want) want = static_cast<std::size_t>(left);
-    }
-    outcome.budget_left = true;
-    if (cfg.batch == 1) {
-      if (!spin && shard.ring.size_approx() == shard.ring.capacity()) {
-        continue;  // fused: let the caller drain first
-      }
-      // A drain pause must never land between make_packet and push —
-      // an emitted-but-unpushed packet would read as a stream gap — so
-      // the pause check happens strictly before generation.
-      if (spin && shard.pause_request.load(std::memory_order_relaxed)) {
-        continue;  // round ends; producer_loop services the pause
-      }
-      Packet p = make_packet(g, cfg);
-      if (poison && shard.faults->poisoned(g.port, p.seq)) p.size_bytes = -1;
-      while (!shard.ring.push(p)) {
-        ++shard.full_spins;
-        std::this_thread::yield();
-      }
-      ++g.generated;
-      continue;
-    }
+    const std::uint64_t left = cfg.packets_per_port - g.emitted;
+    if (left == 0) continue;
+    budget_left = true;
+    const std::size_t want =
+        left < cfg.batch ? static_cast<std::size_t>(left) : cfg.batch;
     std::span<Packet> slots = shard.ring.prepare_push(want);
     while (slots.empty()) {
       if (!spin) break;
@@ -221,16 +189,13 @@ RoundOutcome produce_round(Shard& shard, const DataplaneConfig& cfg,
         slot.size_bytes = -1;
       }
     }
-    g.generated += slots.size();
     shard.ring.commit_push(slots.size());
   }
-  return outcome;
+  return budget_left;
 }
 
 /// Producer loop for the pipelined (two threads per shard) mode.
-void producer_loop(Shard& shard, const DataplaneConfig& cfg,
-                   const std::atomic<bool>& stop) {
-  const bool budget_mode = cfg.packets_per_port > 0;
+void producer_loop(Shard& shard, const DataplaneConfig& cfg) {
   for (;;) {
     if (shard.pause_request.load(std::memory_order_acquire)) {
       // Drain handshake: publish exact emission counts, ack, park.
@@ -244,10 +209,7 @@ void producer_loop(Shard& shard, const DataplaneConfig& cfg,
       shard.paused.store(false, std::memory_order_release);
       continue;
     }
-    if (!budget_mode && stop.load(std::memory_order_relaxed)) break;
-    fire_producer_desyncs(shard);
-    const RoundOutcome outcome = produce_round(shard, cfg, /*spin=*/true);
-    if (budget_mode && !outcome.budget_left) break;
+    if (!produce_round(shard, cfg, /*spin=*/true)) break;
   }
   shard.producer_done.store(true, std::memory_order_release);
 }
@@ -260,9 +222,12 @@ inline void deliver(Port& port, const Packet& p) {
   port.pre.admission_release(p.tenant, p.size_bytes);
 }
 
-/// Batched pipeline stage for one port-contiguous sub-burst: rank
-/// rewrite + admission over the whole span, survivors enqueued as one
-/// batch, then service back down to the steady-state depth.
+/// Pipeline stage for one port-contiguous run of a burst: rank rewrite
+/// + admission over the whole span, survivors enqueued as one batch,
+/// then service back down to the steady-state depth. The run is one
+/// admission instant: every packet is admitted at the first packet's
+/// created_at, so the guard's drop count depends on where burst
+/// boundaries fall (see the header's determinism note).
 void process_span(Port& port, std::span<Packet> sp, std::vector<Packet>& out,
                   const DataplaneConfig& cfg) {
   const TimeNs now = sp.front().created_at;
@@ -277,61 +242,12 @@ void process_span(Port& port, std::span<Packet> sp, std::vector<Packet>& out,
   }
 }
 
-/// Per-call pipeline stage: one packet at a time through the scalar
-/// entry points and the virtual Scheduler interface — the pre-batching
-/// hot path this PR replaces, kept callable so the bench measures the
-/// gap honestly (per-packet dispatch, per-packet std::optional copy,
-/// per-packet service check).
-void process_percall(Port& port, Packet& p, const DataplaneConfig& cfg) {
-  sched::Scheduler& sch = port.vsch;
-  const TimeNs now = p.created_at;
-  if (port.pre.process(p, now)) {
-    sch.enqueue(p, now);
-    while (sch.size() > cfg.service_depth) {
-      const std::optional<Packet> q = sch.dequeue(now);
-      if (!q) break;
-      deliver(port, *q);
-    }
-  }
-}
-
-/// Consume one burst from the ring, run-to-completion: the burst is
-/// split into port-contiguous runs (the producer emits port-major, so a
-/// run is almost always a whole burst) and each run is carried through
-/// rank rewrite, admission, enqueue, and service before returning.
-/// Returns the number of packets consumed; 0 = ring empty.
-std::size_t consume_once(Shard& shard, const DataplaneConfig& cfg,
-                         std::vector<Packet>& out, Packet& scalar) {
+/// Ring-side tallies for one consumed burst of `n` packets.
+void note_burst(Shard& shard, std::size_t n) {
   ShardResult& r = shard.result;
-  std::span<Packet> burst;
-  if (cfg.batch == 1) {
-    // Seed architecture: one packet copied out of the ring per poll.
-    if (shard.ring.pop(scalar)) burst = std::span<Packet>(&scalar, 1);
-  } else {
-    // Burst pipeline: borrow the slots and process them in place — the
-    // pre-processor rewrites ranks and compacts survivors inside the
-    // ring storage; only survivors are copied (into the PIFO).
-    burst = shard.ring.peek(cfg.batch);
-  }
-  if (burst.empty()) return 0;
   ++r.batches;
-  r.batch_pkts.add(burst.size());
+  r.batch_pkts.add(n);
   r.ring_occupancy.add(shard.ring.size_approx());
-  std::size_t i = 0;
-  while (i < burst.size()) {
-    const NodeId dst = burst[i].dst;
-    std::size_t j = i + 1;
-    while (j < burst.size() && burst[j].dst == dst) ++j;
-    Port& port = *shard.ports[dst - shard.first_port];
-    if (cfg.batch == 1) {
-      process_percall(port, burst[i], cfg);
-    } else {
-      process_span(port, burst.subspan(i, j - i), out, cfg);
-    }
-    i = j;
-  }
-  if (cfg.batch != 1) shard.ring.commit_pop(burst.size());
-  return burst.size();
 }
 
 /// Terminal drain + book snapshot: empty every queue so residual == 0
@@ -367,9 +283,50 @@ void finalize_shard(Shard& shard, std::vector<Packet>& out) {
   }
 }
 
+/// Unsupervised consumer. Each burst is borrowed from the ring and
+/// processed in place — the pre-processor rewrites ranks and compacts
+/// survivors inside the ring storage; only survivors are copied (into
+/// the PIFO) — then released. The burst is split into port-contiguous
+/// runs (the producer emits port-major, so a run is almost always a
+/// whole burst), each carried through rank rewrite, admission, enqueue,
+/// and service before the next.
+struct Direct {
+  Direct(Shard& shard, const DataplaneConfig& cfg)
+      : shard(shard), cfg(cfg), out(cfg.batch) {}
+
+  /// Consumed but not yet released ring slots: none, every burst is
+  /// released as soon as it is processed.
+  static constexpr std::size_t uncommitted = 0;
+
+  Shard& shard;
+  const DataplaneConfig& cfg;
+  std::vector<Packet> out;
+
+  /// Consume one burst; returns its size (0 = ring empty).
+  std::size_t consume_once() {
+    const std::span<Packet> burst = shard.ring.peek(cfg.batch);
+    if (burst.empty()) return 0;
+    note_burst(shard, burst.size());
+    std::size_t i = 0;
+    while (i < burst.size()) {
+      const NodeId dst = burst[i].dst;
+      std::size_t j = i + 1;
+      while (j < burst.size() && burst[j].dst == dst) ++j;
+      process_span(*shard.ports[dst - shard.first_port],
+                   burst.subspan(i, j - i), out, cfg);
+      i = j;
+    }
+    shard.ring.commit_pop(burst.size());
+    return burst.size();
+  }
+
+  void finish() { finalize_shard(shard, out); }
+};
+
 // ---------------------------------------------------------------------------
-// Supervised execution: the fault domain. Separate loops so the
-// unsupervised hot path above stays untouched.
+// Supervised consumer: the fault domain. The shard loops are templates
+// over their consumer, so the unsupervised instantiation (Direct above)
+// carries none of this.
 // ---------------------------------------------------------------------------
 
 std::int64_t steady_ns() {
@@ -379,7 +336,7 @@ std::int64_t steady_ns() {
 }
 
 /// Worker-side fault verdict: unwinds the current burst to the recovery
-/// handler. Never escapes the supervised loops.
+/// handler. Never escapes Supervised::consume_once.
 struct ShardFault {
   RecoveryRecord::Cause cause;
   std::size_t port = 0;
@@ -404,8 +361,8 @@ struct PortCheckpoint {
 /// loss (drain policy) is bounded by ring capacity + one burst, no
 /// matter how rarely checkpoints run.
 struct Supervised {
-  Supervised(Shard& shard, const DataplaneConfig& cfg, bool fused)
-      : shard(shard), cfg(cfg), fused(fused), sup(*shard.supervisor) {
+  Supervised(Shard& shard, const DataplaneConfig& cfg)
+      : shard(shard), cfg(cfg), sup(*shard.supervisor) {
     const std::size_t n = shard.ports.size();
     ckpt.resize(n);
     stream_pos.assign(n, 0);
@@ -413,11 +370,11 @@ struct Supervised {
     quarantined_count.assign(n, 0);
     out.resize(cfg.batch);
     scratch.resize(cfg.batch);
+    checkpoint(false);  // anchor the pristine state
   }
 
   Shard& shard;
   const DataplaneConfig& cfg;
-  const bool fused;
   ShardSupervisor& sup;
 
   std::vector<PortCheckpoint> ckpt;
@@ -473,7 +430,7 @@ struct Supervised {
   /// lost_in_flight. Called with the checkpoint already restored.
   void drain_ring(RecoveryRecord& rec) {
     std::vector<std::uint64_t> emitted(shard.gens.size());
-    if (fused) {
+    if (cfg.fused) {
       // Single thread: the producer is us, already quiescent.
       for (std::size_t p = 0; p < shard.gens.size(); ++p) {
         emitted[p] = shard.gens[p].emitted;
@@ -524,7 +481,9 @@ struct Supervised {
     rec.drained = true;
     // Re-anchor so a later drain cannot re-count this window as lost.
     checkpoint(false);
-    if (!fused) shard.pause_request.store(false, std::memory_order_release);
+    if (!cfg.fused) {
+      shard.pause_request.store(false, std::memory_order_release);
+    }
   }
 
   void recover(const ShardFault& f) {
@@ -649,16 +608,12 @@ struct Supervised {
         ++j;
         ++expect;
       }
-      Port& port = *shard.ports[local];
       const std::size_t n = j - i;
       std::copy(burst.begin() + static_cast<std::ptrdiff_t>(i),
                 burst.begin() + static_cast<std::ptrdiff_t>(j),
                 scratch.begin());
-      if (cfg.batch == 1) {
-        process_percall(port, scratch[0], cfg);
-      } else {
-        process_span(port, std::span<Packet>(scratch.data(), n), out, cfg);
-      }
+      process_span(*shard.ports[local], std::span<Packet>(scratch.data(), n),
+                   out, cfg);
       stream_pos[local] += n;
       i = j;
     }
@@ -677,11 +632,8 @@ struct Supervised {
     }
     const std::span<Packet> burst = shard.ring.peek_at(uncommitted, cfg.batch);
     if (burst.empty()) return 0;
-    ShardResult& r = shard.result;
     ++mono_bursts;
-    ++r.batches;
-    r.batch_pkts.add(burst.size());
-    r.ring_occupancy.add(shard.ring.size_approx());
+    note_burst(shard, burst.size());
     try {
       fire_worker_events();
       process_burst(burst);
@@ -693,7 +645,11 @@ struct Supervised {
     return burst.size();
   }
 
+  /// Release the uncommitted tail (the loop only ends once nothing past
+  /// it is left), then publish the books.
   void finish() {
+    shard.ring.commit_pop(uncommitted);
+    uncommitted = 0;
     sup.health(shard.index).done.store(true, std::memory_order_release);
     finalize_shard(shard, out);
     ShardResult& r = shard.result;
@@ -704,98 +660,42 @@ struct Supervised {
   }
 };
 
-/// Supervised worker loop (pipelined mode).
-void supervised_worker_loop(Shard& shard, const DataplaneConfig& cfg) {
-  Supervised sv(shard, cfg, /*fused=*/false);
-  sv.checkpoint(false);  // anchor the pristine state
-  ShardResult& r = shard.result;
-  for (;;) {
-    if (sv.consume_once() == 0) {
-      if (shard.producer_done.load(std::memory_order_acquire) &&
-          shard.ring.size_approx() == sv.uncommitted) {
-        shard.ring.commit_pop(sv.uncommitted);
-        sv.uncommitted = 0;
-        break;
-      }
-      ++r.empty_polls;
-      std::this_thread::yield();
-    }
-  }
-  sv.finish();
-}
-
-/// Supervised fused loop: generation and supervised consumption
-/// interleave on the shard's single thread.
-void supervised_fused_loop(Shard& shard, const DataplaneConfig& cfg,
-                           const std::atomic<bool>& stop) {
-  Supervised sv(shard, cfg, /*fused=*/true);
-  sv.checkpoint(false);
-  const bool budget_mode = cfg.packets_per_port > 0;
-  bool producing = true;
-  for (;;) {
-    if (producing) {
-      if (!budget_mode && stop.load(std::memory_order_relaxed)) {
-        producing = false;
-      } else {
-        fire_producer_desyncs(shard);
-        const RoundOutcome outcome =
-            produce_round(shard, cfg, /*spin=*/false);
-        if (budget_mode && !outcome.budget_left) producing = false;
-      }
-      if (!producing) {
-        shard.producer_done.store(true, std::memory_order_release);
-      }
-    }
-    while (sv.consume_once() > 0) {
-    }
-    if (!producing && shard.ring.size_approx() == sv.uncommitted) {
-      shard.ring.commit_pop(sv.uncommitted);
-      sv.uncommitted = 0;
-      break;
-    }
-  }
-  sv.finish();
-}
-
-/// Worker loop for the pipelined (two threads per shard) mode.
+/// Worker loop for the pipelined (two threads per shard) mode: consume
+/// until the producer is done and nothing past the consumer's
+/// uncommitted region is left in the ring.
+template <typename Consumer>
 void worker_loop(Shard& shard, const DataplaneConfig& cfg) {
-  ShardResult& r = shard.result;
-  std::vector<Packet> out(cfg.batch);
-  Packet scalar;
+  Consumer consumer(shard, cfg);
   for (;;) {
-    if (consume_once(shard, cfg, out, scalar) == 0) {
+    if (consumer.consume_once() == 0) {
       if (shard.producer_done.load(std::memory_order_acquire) &&
-          shard.ring.empty()) {
+          shard.ring.size_approx() == consumer.uncommitted) {
         break;
       }
-      ++r.empty_polls;
+      ++shard.result.empty_polls;
       std::this_thread::yield();
     }
   }
-  finalize_shard(shard, out);
+  consumer.finish();
 }
 
-/// Fused run-to-completion loop: generation and processing interleave
+/// Fused run-to-completion loop: generation and consumption interleave
 /// on the shard's single thread (generate a burst per port, then drain
-/// the ring to empty). Same per-port operation order as the pipelined
-/// mode — the books are identical — but with no cross-thread handoff,
-/// so on hosts with fewer cores than threads the measurement reflects
-/// pipeline cost rather than OS scheduling.
-void fused_loop(Shard& shard, const DataplaneConfig& cfg,
-                const std::atomic<bool>& stop) {
-  std::vector<Packet> out(cfg.batch);
-  Packet scalar;
-  const bool budget_mode = cfg.packets_per_port > 0;
-  for (;;) {
-    if (!budget_mode && stop.load(std::memory_order_relaxed)) break;
-    const RoundOutcome outcome =
-        produce_round(shard, cfg, /*spin=*/false);
-    while (consume_once(shard, cfg, out, scalar) > 0) {
+/// the ring). Same per-port operation order as the pipelined mode — the
+/// books are identical — but with no cross-thread handoff, so on hosts
+/// with fewer cores than threads the measurement reflects pipeline cost
+/// rather than OS scheduling.
+template <typename Consumer>
+void fused_loop(Shard& shard, const DataplaneConfig& cfg) {
+  Consumer consumer(shard, cfg);
+  bool producing = true;
+  while (producing) {
+    producing = produce_round(shard, cfg, /*spin=*/false);
+    while (consumer.consume_once() > 0) {
     }
-    if (budget_mode && !outcome.budget_left) break;
   }
   shard.producer_done.store(true, std::memory_order_release);
-  finalize_shard(shard, out);
+  consumer.finish();
 }
 
 PlanBundle make_plan(const DataplaneConfig& cfg) {
@@ -961,13 +861,11 @@ void DataplaneResult::export_metrics(obs::Registry& reg) const {
 
 DataplaneResult run_dataplane(const DataplaneConfig& config) {
   if (config.shards == 0 || config.ports_per_shard == 0 ||
-      config.batch == 0 || config.tenants == 0) {
+      config.batch == 0 || config.tenants == 0 ||
+      config.packets_per_port == 0) {
     throw std::invalid_argument(
-        "dataplane: shards, ports_per_shard, batch, tenants must be > 0");
-  }
-  if (config.packets_per_port == 0 && config.run_wall_ns <= 0) {
-    throw std::invalid_argument(
-        "dataplane: either packets_per_port or run_wall_ns must be set");
+        "dataplane: shards, ports_per_shard, batch, tenants, "
+        "packets_per_port must be > 0");
   }
   const bool supervised = config.supervision.enabled;
   if (!supervised) {
@@ -1013,39 +911,24 @@ DataplaneResult run_dataplane(const DataplaneConfig& config) {
   }
   if (supervisor) supervisor->start();
 
-  std::atomic<bool> stop{false};
   // One thread per fused shard, or a generator + worker pair per
   // pipelined shard; the pool is sized so every task gets a dedicated
   // thread (the tasks are run-to-completion loops, not short-lived
   // jobs).
+  using ShardLoop = void (*)(Shard&, const DataplaneConfig&);
+  const ShardLoop loop =
+      supervised ? (config.fused ? fused_loop<Supervised>
+                                 : worker_loop<Supervised>)
+                 : (config.fused ? fused_loop<Direct> : worker_loop<Direct>);
   exec::ThreadPool pool((config.fused ? 1 : 2) * config.shards);
   const auto start = std::chrono::steady_clock::now();
   for (auto& shard : shards) {
     Shard* sp = shard.get();
     const DataplaneConfig* cfg = &config;
-    if (config.fused) {
-      pool.submit([sp, cfg, &stop, supervised] {
-        if (supervised) {
-          supervised_fused_loop(*sp, *cfg, stop);
-        } else {
-          fused_loop(*sp, *cfg, stop);
-        }
-      });
-    } else {
-      pool.submit([sp, cfg, &stop] { producer_loop(*sp, *cfg, stop); });
-      pool.submit([sp, cfg, supervised] {
-        if (supervised) {
-          supervised_worker_loop(*sp, *cfg);
-        } else {
-          worker_loop(*sp, *cfg);
-        }
-      });
+    if (!config.fused) {
+      pool.submit([sp, cfg] { producer_loop(*sp, *cfg); });
     }
-  }
-  if (config.packets_per_port == 0) {
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(config.run_wall_ns));
-    stop.store(true, std::memory_order_relaxed);
+    pool.submit([loop, sp, cfg] { loop(*sp, *cfg); });
   }
   pool.wait_idle();
   const double wall =
@@ -1064,7 +947,7 @@ DataplaneResult run_dataplane(const DataplaneConfig& config) {
     ShardResult& r = shard->result;
     r.full_spins = shard->full_spins;
     for (std::size_t p = 0; p < r.ports.size(); ++p) {
-      r.ports[p].generated = shard->gens[p].generated;
+      r.ports[p].generated = shard->gens[p].emitted;
       if (!r.ports[p].balanced()) result.balanced = false;
     }
     result.shards.push_back(std::move(r));

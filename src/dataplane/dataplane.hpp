@@ -22,11 +22,17 @@
 //
 // Determinism: port p's packet stream is derived from seed and p alone
 // (own Rng stream + virtual arrival clock), and ports map to shards by
-// fixed contiguous ownership — so every per-port conservation book and
-// drop counter is byte-identical across repeated runs AND across shard
-// counts; per-shard books are sums over owned ports. The ring applies
-// backpressure (producers spin) instead of dropping, so timing can
-// never leak into the books.
+// fixed contiguous ownership. The ring applies backpressure (producers
+// spin) instead of dropping. So every per-port conservation book and
+// drop counter is byte-identical across repeated runs, shard counts,
+// fused vs pipelined, and supervision off vs on — the equivalences the
+// tests assert; per-shard books are sums over owned ports. A burst is
+// one admission instant: the guard admits a port's whole run at its
+// first packet's created_at. The rate-drop count therefore moves with
+// `batch` (EXPERIMENTS.md has measurements), and with anything that
+// moves burst boundaries: a ring seam that clips a burst, or, pipelined,
+// a producer that finds only partial room. Every tested config uses a
+// ring capacity that is a multiple of `batch`, where neither happens.
 //
 // Conservation: per port,
 //   generated == processed + quarantined + lost_in_flight
@@ -68,18 +74,13 @@ struct DataplaneConfig {
   std::size_t shards = 2;
   std::size_t ports_per_shard = 1;
 
-  /// Deterministic workload: each port emits exactly this many packets
-  /// (tests, CI smoke). 0 = wall-clock mode: run for `run_wall_ns`.
+  /// Each port emits exactly this many packets (must be > 0).
   std::uint64_t packets_per_port = 100'000;
-  /// Wall-clock run length for throughput benches (only read when
-  /// packets_per_port == 0). Books still balance — the stream length
-  /// just stops being deterministic.
-  std::int64_t run_wall_ns = 0;
 
-  /// Burst size on every stage: generator emission, ring push/pop, the
-  /// pre-processor span, and the scheduler batch APIs. 1 selects the
-  /// per-call path (scalar entry points + one ring atomic per packet)
-  /// — the "before" side of the batched-vs-per-call bench.
+  /// Burst size on every stage: generator emission, ring transfer, the
+  /// pre-processor span, and the scheduler batch APIs. 1 sends
+  /// one-packet bursts through the same pipeline. A burst is one
+  /// admission instant, so the drop books depend on it (see above).
   std::size_t batch = 32;
   std::size_t ring_capacity = 1024;
   /// false (default): pipelined — each shard gets a dedicated

@@ -9,20 +9,24 @@
 //     only when its cached copy says the ring LOOKS full (and vice
 //     versa), so in steady state each side's fast path touches no
 //     cache line the other side writes;
-//   * batch transfer — push_batch/pop_batch move a whole span with ONE
-//     atomic load + ONE atomic store, amortizing the synchronization
-//     (and its cache-coherence traffic) across the burst. This is the
-//     producer-side twin of the schedulers' enqueue_batch /
-//     dequeue_batch span APIs.
+//   * zero-copy burst transfer (DPDK-style) — the only transfer API.
+//     The producer borrows a run of free slots (prepare_push), fills
+//     it in place and publishes it (commit_push); the consumer borrows
+//     a run of readable slots (peek / peek_at), processes it in place
+//     and retires it (commit_pop). A whole burst costs ONE atomic load
+//     + ONE atomic store per side, amortizing the synchronization (and
+//     its cache-coherence traffic) across the burst — the ring twin of
+//     the schedulers' enqueue_batch / dequeue_batch span APIs.
 //
-// The ring never drops: push returns how much fit and the producer
-// decides what to do with the rest (the dataplane spins — backpressure,
-// not loss, so conservation books stay exact and deterministic).
+// The ring never drops: prepare_push returns only the room there is
+// and the producer decides what to do with the rest (the dataplane
+// spins — backpressure, not loss, so conservation books stay exact).
 //
-// Thread contract: exactly one producer thread calls push*/ and exactly
-// one consumer thread calls pop* for the ring's lifetime. size_approx()
-// may be called from either. Indices are free-running uint64_t (they
-// wrap after 2^64 items, i.e. never); slot = index & (capacity - 1).
+// Thread contract: exactly one producer thread calls prepare_push /
+// commit_push and exactly one consumer thread calls peek / peek_at /
+// commit_pop for the ring's lifetime. size_approx() may be called from
+// either. Indices are free-running uint64_t (they wrap after 2^64
+// items, i.e. never); slot = index & (capacity - 1).
 #pragma once
 
 #include <atomic>
@@ -55,60 +59,12 @@ class SpscRing {
 
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// Producer: append as many of `items` as fit; returns the count
-  /// appended (0 when full). Never blocks.
-  std::size_t push_batch(std::span<const T> items) {
-    const std::uint64_t tail = tail_.pos.load(std::memory_order_relaxed);
-    std::size_t room = capacity() - static_cast<std::size_t>(
-                                        tail - tail_.cached_peer);
-    if (room < items.size()) {
-      // Looks full against the cached head: refresh and retry once.
-      tail_.cached_peer = head_.pos.load(std::memory_order_acquire);
-      room = capacity() -
-             static_cast<std::size_t>(tail - tail_.cached_peer);
-      if (room == 0) return 0;
-    }
-    const std::size_t n = items.size() < room ? items.size() : room;
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[static_cast<std::size_t>(tail + i) & mask_] = items[i];
-    }
-    tail_.pos.store(tail + n, std::memory_order_release);
-    return n;
-  }
-
-  /// Producer: single-item push; false when full.
-  bool push(const T& item) {
-    return push_batch(std::span<const T>(&item, 1)) == 1;
-  }
-
-  /// Consumer: move up to `out.size()` items into `out` in FIFO order;
-  /// returns the count moved (0 when empty). Never blocks.
-  std::size_t pop_batch(std::span<T> out) {
-    const std::uint64_t head = head_.pos.load(std::memory_order_relaxed);
-    std::size_t avail =
-        static_cast<std::size_t>(head_.cached_peer - head);
-    if (avail < out.size()) {
-      head_.cached_peer = tail_.pos.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(head_.cached_peer - head);
-      if (avail == 0) return 0;
-    }
-    const std::size_t n = out.size() < avail ? out.size() : avail;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = slots_[static_cast<std::size_t>(head + i) & mask_];
-    }
-    head_.pos.store(head + n, std::memory_order_release);
-    return n;
-  }
-
-  /// Consumer: single-item pop; false when empty.
-  bool pop(T& out) { return pop_batch(std::span<T>(&out, 1)) == 1; }
-
-  // Zero-copy burst transfer (DPDK-style): the caller borrows a
-  // contiguous run of slots and fills / consumes them in place, so a
-  // burst moves through the ring with no intermediate buffer. A
-  // returned span is only valid until the matching commit; it may be
-  // shorter than `max` (free/readable space, or the wrap boundary —
-  // slot runs never wrap, the next call starts at slot 0).
+  // Burst transfer: the caller borrows a contiguous run of slots and
+  // fills / consumes them in place, so a burst moves through the ring
+  // with no intermediate buffer. A returned span is only valid until
+  // the matching commit; it may be shorter than `max` (free/readable
+  // space, or the wrap boundary — slot runs never wrap, the next call
+  // starts at slot 0).
 
   /// Producer: borrow up to `max` contiguous free slots (empty span
   /// when full). Write them, then commit_push(n) for any n <= size().
@@ -204,8 +160,6 @@ class SpscRing {
     const std::uint64_t head = head_.pos.load(std::memory_order_acquire);
     return static_cast<std::size_t>(tail - head);
   }
-
-  bool empty() const { return size_approx() == 0; }
 
  private:
   /// One side's free-running index plus its cached copy of the peer's,

@@ -118,8 +118,11 @@ bool Flags::parse(int argc, char** argv) {
       return true;
     }
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
+      std::fprintf(stderr,
+                   "unexpected argument: %s (bool flags take "
+                   "--name=value, not --name value)\n",
+                   arg.c_str());
+      return false;
     }
     std::string body = arg.substr(2);
     auto eq = body.find('=');

@@ -1,21 +1,23 @@
 // Tiny command-line flag parser for example and bench binaries.
 //
-// Supports `--name=value`, `--name value`, and boolean `--name` /
-// `--no-name`. Unknown flags are an error so typos do not silently run
-// the default experiment.
+// Supports `--name=value`, `--name value` (non-bool flags only), and
+// boolean `--name` / `--no-name` / `--name=value`. Unknown flags and
+// stray arguments are errors so typos do not silently run the default
+// experiment: `--fused false` is rejected rather than read as `--fused`
+// plus a dropped `false`.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace qv {
 
 class Flags {
  public:
   /// Parse argv. Returns false (and prints to stderr) on malformed or
-  /// unknown flags; callers should exit non-zero.
+  /// unknown flags and on stray non-flag arguments; callers should exit
+  /// non-zero.
   bool parse(int argc, char** argv);
 
   /// Declare flags before parse(); declaration supplies the default and
@@ -37,9 +39,6 @@ class Flags {
   /// True if --help was requested; parse() already printed usage.
   bool help_requested() const { return help_requested_; }
 
-  /// Positional (non-flag) arguments, in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-
  private:
   enum class Type { kInt, kDouble, kString, kBool };
 
@@ -56,7 +55,6 @@ class Flags {
   void print_usage(const char* prog) const;
 
   std::map<std::string, Def> defs_;
-  std::vector<std::string> positional_;
   bool help_requested_ = false;
 };
 

@@ -1,10 +1,13 @@
 // SPSC ring: FIFO ordering, full/empty boundaries, index wraparound,
-// the zero-copy borrow APIs, and a two-thread stress run (the latter is
-// in the tsan preset's test filter — see CMakePresets.json).
+// partial room, slab seams, and a two-thread stress run (the latter is
+// in the tsan preset's test filter — see CMakePresets.json). Every test
+// drives the borrow API the dataplane uses: prepare_push / commit_push
+// on the producer side, peek / peek_at / commit_pop on the consumer.
 #include "dataplane/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -12,6 +15,36 @@
 
 namespace qv::dataplane {
 namespace {
+
+/// Producer: copy as many of `items` as fit into borrowed slots (two
+/// borrows when the run crosses the slab seam); returns the count.
+template <typename T>
+std::size_t push_some(SpscRing<T>& ring, const std::vector<T>& items) {
+  std::size_t n = 0;
+  while (n < items.size()) {
+    const std::span<T> slots = ring.prepare_push(items.size() - n);
+    if (slots.empty()) break;
+    std::copy_n(items.begin() + static_cast<std::ptrdiff_t>(n), slots.size(),
+                slots.begin());
+    ring.commit_push(slots.size());
+    n += slots.size();
+  }
+  return n;
+}
+
+/// Consumer: move up to `max` items out through borrowed slots, in
+/// FIFO order.
+template <typename T>
+std::vector<T> pop_some(SpscRing<T>& ring, std::size_t max) {
+  std::vector<T> out;
+  while (out.size() < max) {
+    const std::span<T> view = ring.peek(max - out.size());
+    if (view.empty()) break;
+    out.insert(out.end(), view.begin(), view.end());
+    ring.commit_pop(view.size());
+  }
+  return out;
+}
 
 TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
@@ -23,61 +56,56 @@ TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(SpscRingTest, PopOnEmptyFailsPushOnFullFails) {
   SpscRing<int> ring(4);
-  int v = -1;
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.pop(v));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.push(i));
+  EXPECT_EQ(ring.size_approx(), 0u);
+  EXPECT_TRUE(ring.peek(1).empty());
+  EXPECT_TRUE(ring.peek_at(0, 1).empty());
+  EXPECT_EQ(push_some(ring, {0, 1, 2, 3}), 4u);
   EXPECT_EQ(ring.size_approx(), 4u);
-  EXPECT_FALSE(ring.push(99));  // full
-  EXPECT_TRUE(ring.pop(v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(ring.push(99));  // one slot freed
-  for (int expect : {1, 2, 3, 99}) {
-    ASSERT_TRUE(ring.pop(v));
-    EXPECT_EQ(v, expect);
-  }
-  EXPECT_FALSE(ring.pop(v));
-  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.prepare_push(1).empty());  // full
+  EXPECT_EQ(pop_some(ring, 1), std::vector<int>{0});
+  EXPECT_EQ(push_some(ring, {99}), 1u);  // one slot freed
+  EXPECT_TRUE(ring.prepare_push(1).empty());
+  EXPECT_EQ(pop_some(ring, 8), (std::vector<int>{1, 2, 3, 99}));
+  EXPECT_TRUE(ring.peek(1).empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
 }
 
 TEST(SpscRingTest, BatchPushAcceptsPartialWhenNearlyFull) {
   SpscRing<int> ring(8);
   std::vector<int> six(6);
   std::iota(six.begin(), six.end(), 0);
-  EXPECT_EQ(ring.push_batch(six), 6u);
-  // Only 2 slots left: a 6-item batch is partially accepted.
-  EXPECT_EQ(ring.push_batch(six), 2u);
-  EXPECT_EQ(ring.push_batch(six), 0u);  // full
-  std::vector<int> out(16);
-  EXPECT_EQ(ring.pop_batch(out), 8u);
-  const std::vector<int> expect = {0, 1, 2, 3, 4, 5, 0, 1};
-  for (std::size_t i = 0; i < expect.size(); ++i) EXPECT_EQ(out[i], expect[i]);
-  EXPECT_EQ(ring.pop_batch(out), 0u);  // empty again
+  EXPECT_EQ(push_some(ring, six), 6u);
+  // Only 2 slots left: a 6-slot borrow is partially granted.
+  const std::span<int> slots = ring.prepare_push(6);
+  ASSERT_EQ(slots.size(), 2u);
+  slots[0] = 0;
+  slots[1] = 1;
+  ring.commit_push(2);
+  EXPECT_TRUE(ring.prepare_push(6).empty());  // full
+  EXPECT_EQ(pop_some(ring, 16),
+            (std::vector<int>{0, 1, 2, 3, 4, 5, 0, 1}));
+  EXPECT_TRUE(ring.peek(16).empty());  // empty again
 }
 
 TEST(SpscRingTest, OrderPreservedAcrossWraparound) {
   SpscRing<std::uint32_t> ring(8);
-  // Free-running indices: push/pop far more items than the capacity so
+  // Free-running indices: move far more items than the capacity so
   // slot indices wrap many times; FIFO order must hold throughout.
   std::uint32_t next_in = 0, next_out = 0;
   std::vector<std::uint32_t> buf(5);
   for (int round = 0; round < 1000; ++round) {
     for (auto& v : buf) v = next_in++;
-    std::size_t pushed = ring.push_batch(buf);
-    while (pushed < buf.size()) {
-      pushed += ring.push_batch(
-          std::span<const std::uint32_t>(buf).subspan(pushed));
-      std::vector<std::uint32_t> out(3);
-      const std::size_t got = ring.pop_batch(out);
-      for (std::size_t i = 0; i < got; ++i) EXPECT_EQ(out[i], next_out++);
+    std::vector<std::uint32_t> rest = buf;
+    for (;;) {
+      const auto pushed = static_cast<std::ptrdiff_t>(push_some(ring, rest));
+      rest.erase(rest.begin(), rest.begin() + pushed);
+      if (rest.empty()) break;
+      for (const std::uint32_t v : pop_some(ring, 3)) EXPECT_EQ(v, next_out++);
     }
   }
-  std::vector<std::uint32_t> out(8);
-  for (std::size_t got = ring.pop_batch(out); got != 0;
-       got = ring.pop_batch(out)) {
-    for (std::size_t i = 0; i < got; ++i) EXPECT_EQ(out[i], next_out++);
-  }
+  for (const std::uint32_t v : pop_some(ring, 8)) EXPECT_EQ(v, next_out++);
   EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(ring.size_approx(), 0u);
 }
 
 TEST(SpscRingTest, ZeroCopyBorrowRoundTrip) {
@@ -93,13 +121,13 @@ TEST(SpscRingTest, ZeroCopyBorrowRoundTrip) {
   EXPECT_EQ(view[0], 10);
   view[0] = 77;  // in-place mutation is part of the contract
   ring.commit_pop(1);
-  int v = 0;
-  ASSERT_TRUE(ring.pop(v));
-  EXPECT_EQ(v, 11);
+  view = ring.peek(8);
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_EQ(view[0], 11);
   ring.commit_pop(0);  // no-op
-  ASSERT_TRUE(ring.pop(v));
-  EXPECT_EQ(v, 12);
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.peek(8)[0], 11);
+  ring.commit_pop(2);
+  EXPECT_EQ(ring.size_approx(), 0u);
   EXPECT_TRUE(ring.peek(4).empty());
 }
 
@@ -107,9 +135,10 @@ TEST(SpscRingTest, ZeroCopySpansNeverWrap) {
   SpscRing<int> ring(8);
   // Advance both indices to 6 so the next contiguous run hits the
   // physical end of the slab after 2 slots.
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring.push(i));
-  int v;
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring.pop(v));
+  ring.prepare_push(6);
+  ring.commit_push(6);
+  ASSERT_EQ(ring.peek(6).size(), 6u);
+  ring.commit_pop(6);
   std::span<int> slots = ring.prepare_push(8);
   EXPECT_EQ(slots.size(), 2u);  // clipped at the wrap boundary
   slots[0] = 100;
@@ -144,36 +173,34 @@ TEST(SpscRingTest, PartialCommitRepreparesTheUncommittedSlots) {
   EXPECT_EQ(slots[0], 2);
   for (int i = 0; i < 6; ++i) slots[i] = 10 + i;
   ring.commit_push(6);
-  std::vector<int> out(8);
-  ASSERT_EQ(ring.pop_batch(out), 8u);
-  const std::vector<int> expect = {0, 1, 10, 11, 12, 13, 14, 15};
-  for (std::size_t i = 0; i < expect.size(); ++i) EXPECT_EQ(out[i], expect[i]);
+  EXPECT_EQ(pop_some(ring, 8),
+            (std::vector<int>{0, 1, 10, 11, 12, 13, 14, 15}));
 }
 
 TEST(SpscRingTest, PeekAndCommitPopAtTheExactSlabSeam) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(ring.push(i));
+  ASSERT_EQ(push_some(ring, {0, 1, 2, 3, 4, 5, 6, 7}), 8u);
   // Head at slab slot 0: the whole slab is one contiguous run.
   std::span<int> view = ring.peek(16);
   ASSERT_EQ(view.size(), 8u);
   EXPECT_EQ(view[7], 7);
   ring.commit_pop(8);  // head lands exactly on the seam (index 8)
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
   EXPECT_TRUE(ring.peek(1).empty());
   // Indices 8..11 map back to slab slots 0..3: a peek straddling
   // nothing must start clean at the seam, not read stale slots 4..7.
-  for (int i = 100; i < 104; ++i) ASSERT_TRUE(ring.push(i));
+  ASSERT_EQ(push_some(ring, {100, 101, 102, 103}), 4u);
   view = ring.peek(16);
   ASSERT_EQ(view.size(), 4u);
   EXPECT_EQ(view[0], 100);
   EXPECT_EQ(view[3], 103);
   ring.commit_pop(4);
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
 }
 
 TEST(SpscRingTest, PeekAtReadsPastAnUncommittedRegion) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring.push(i));
+  ASSERT_EQ(push_some(ring, {0, 1, 2, 3, 4, 5}), 6u);
   // Deferred-commit consumption: adjacent windows of the published
   // region, nothing released until the explicit commit.
   std::span<int> a = ring.peek_at(0, 4);
@@ -186,9 +213,9 @@ TEST(SpscRingTest, PeekAtReadsPastAnUncommittedRegion) {
   EXPECT_TRUE(ring.peek_at(6, 4).empty());
   EXPECT_EQ(ring.size_approx(), 6u);  // everything still held
   ring.commit_pop(6);
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
   // peek_at clips at the slab seam like every other borrow API.
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(ring.push(10 + i));
+  ASSERT_EQ(push_some(ring, {10, 11, 12, 13, 14, 15, 16, 17}), 8u);
   std::span<int> c = ring.peek_at(0, 8);
   ASSERT_EQ(c.size(), 2u);  // head at slab slot 6: clipped at the seam
   EXPECT_EQ(c[0], 10);
@@ -200,9 +227,8 @@ TEST(SpscRingTest, PeekAtReadsPastAnUncommittedRegion) {
 
 TEST(SpscRingTest, CorruptAdvanceTailPublishesStaleSlots) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.push(i));
-  int v;
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.pop(v));
+  ASSERT_EQ(push_some(ring, {0, 1, 2, 3}), 4u);
+  ASSERT_EQ(pop_some(ring, 4).size(), 4u);
   // Fault injection: publish 3 slots the producer never wrote — the
   // consumer observes whatever the slab holds there.
   EXPECT_EQ(ring.corrupt_advance_tail(3), 3u);
@@ -210,63 +236,70 @@ TEST(SpscRingTest, CorruptAdvanceTailPublishesStaleSlots) {
   std::span<int> view = ring.peek(8);
   ASSERT_EQ(view.size(), 3u);  // stale slab slots 4..6
   ring.commit_pop(3);
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
   // Clamped at the available room.
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring.push(i));
+  ASSERT_EQ(push_some(ring, {0, 1, 2, 3, 4, 5}), 6u);
   EXPECT_EQ(ring.corrupt_advance_tail(99), 2u);
   EXPECT_EQ(ring.size_approx(), 8u);
 }
 
-// Two-thread stress: producer pushes a strictly increasing sequence in
-// ragged batch sizes while the consumer pops in different ragged sizes;
-// the consumer must observe every value exactly once, in order. Run
+// Two-thread stress: the producer publishes a strictly increasing
+// sequence in ragged borrows (every fourth one only partly committed)
+// while the consumer alternates the dataplane's two consumption styles
+// in ragged sizes: peek + immediate commit_pop (unsupervised worker)
+// and peek_at reading ahead of a deferred commit (supervised worker).
+// The consumer must observe every value exactly once, in order. Run
 // under the tsan preset this also certifies the acquire/release
-// protocol (including the zero-copy paths, exercised in alternation).
+// protocol of the borrow API.
 TEST(SpscRingStress, TwoThreadsOrderedLossless) {
   SpscRing<std::uint64_t> ring(256);
   constexpr std::uint64_t kCount = 200'000;
   std::thread producer([&ring] {
     std::uint64_t next = 0;
-    std::size_t burst = 1;
-    while (next < kCount) {
-      if (burst % 3 == 0) {  // zero-copy path
-        std::span<std::uint64_t> slots = ring.prepare_push(burst % 17 + 1);
-        for (auto& s : slots) {
-          s = next++;
-          if (next == kCount) {
-            ring.commit_push(static_cast<std::size_t>(
-                &s - slots.data() + 1));
-            return;
-          }
-        }
-        if (!slots.empty()) ring.commit_push(slots.size());
-        else std::this_thread::yield();
-      } else {  // copy path
-        if (!ring.push(next)) std::this_thread::yield();
-        else ++next;
+    for (std::size_t burst = 1; next < kCount; ++burst) {
+      const std::size_t want =
+          static_cast<std::size_t>(std::min<std::uint64_t>(
+              burst % 17 + 1, kCount - next));
+      const std::span<std::uint64_t> slots = ring.prepare_push(want);
+      if (slots.empty()) {
+        std::this_thread::yield();
+        continue;
       }
-      ++burst;
+      const std::size_t n = (burst % 4 == 0 && slots.size() > 1)
+                                ? slots.size() - 1
+                                : slots.size();
+      for (std::size_t i = 0; i < n; ++i) slots[i] = next++;
+      ring.commit_push(n);
     }
   });
   std::uint64_t expect = 0;
-  std::vector<std::uint64_t> out(13);
-  std::size_t spin = 0;
-  while (expect < kCount) {
-    std::size_t got;
-    if (spin % 2 == 0) {
-      got = ring.pop_batch(std::span<std::uint64_t>(out));
-      for (std::size_t i = 0; i < got; ++i) ASSERT_EQ(out[i], expect++);
-    } else {  // zero-copy path
-      std::span<std::uint64_t> view = ring.peek(7);
-      got = view.size();
-      for (std::size_t i = 0; i < got; ++i) ASSERT_EQ(view[i], expect++);
-      if (got != 0) ring.commit_pop(got);
+  std::size_t uncommitted = 0;
+  for (std::size_t spin = 0; expect < kCount; ++spin) {
+    const bool deferred = (spin / 64) % 2 == 1;
+    if (!deferred && uncommitted > 0) {
+      ring.commit_pop(uncommitted);
+      uncommitted = 0;
     }
-    if (got == 0) std::this_thread::yield();
-    ++spin;
+    const std::size_t max = spin % 13 + 1;
+    const std::span<std::uint64_t> view =
+        deferred ? ring.peek_at(uncommitted, max) : ring.peek(max);
+    for (const std::uint64_t v : view) ASSERT_EQ(v, expect++);
+    if (!deferred) {
+      ring.commit_pop(view.size());
+    } else {
+      uncommitted += view.size();
+      // Checkpoint: commit every 8th read, or when the read-ahead
+      // stalls (the producer may be waiting for room).
+      if (view.empty() || spin % 8 == 0) {
+        ring.commit_pop(uncommitted);
+        uncommitted = 0;
+      }
+    }
+    if (view.empty()) std::this_thread::yield();
   }
+  ring.commit_pop(uncommitted);
   producer.join();
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size_approx(), 0u);
   EXPECT_EQ(expect, kCount);
 }
 

@@ -97,14 +97,13 @@ TEST(Flags, MissingValueFails) {
   EXPECT_FALSE(f.parse(a.argc(), a.argv()));
 }
 
-TEST(Flags, PositionalArgsCollected) {
+TEST(Flags, SpaceSeparatedBoolValueFails) {
+  // A bool flag takes no separate value, so "false" is a stray argument:
+  // rejected rather than read as --x (true) plus a dropped token.
   Flags f;
-  f.define_int("n", 1, "");
-  Argv a({"prog", "one", "--n=2", "two"});
-  ASSERT_TRUE(f.parse(a.argc(), a.argv()));
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "one");
-  EXPECT_EQ(f.positional()[1], "two");
+  f.define_bool("x", false, "");
+  Argv a({"prog", "--x", "false"});
+  EXPECT_FALSE(f.parse(a.argc(), a.argv()));
 }
 
 TEST(Flags, HelpRequested) {
