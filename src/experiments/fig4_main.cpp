@@ -8,9 +8,12 @@
 //   fig4_summary.json                                grid, in grid order
 //
 // The grid fans across cores (--jobs); output is byte-identical for
-// every --jobs value (trace.json excepted — wall-clock span durations).
-// See fig2_main.cpp for the tracing flags; --paper-topo switches to the
-// paper-scale fabric (much slower).
+// every --jobs value, trace.json included, unless --trace-sim adds the
+// simulator's dispatch spans (their durations are wall-clock). fig2
+// and chaos keep trace.json out of that contract: their runtime
+// recompile spans carry wall-clock durations. See fig2_main.cpp for the
+// tracing flags; --paper-topo switches to the paper-scale fabric (much
+// slower).
 #include <cstdio>
 #include <string>
 

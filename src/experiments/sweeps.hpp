@@ -12,8 +12,10 @@
 // returns the cells in grid order — so for every artifact EXCEPT
 // trace.json, `--jobs N` output is byte-identical to `--jobs 1`.
 // trace.json is excluded from the byte-identity contract only because
-// span durations deliberately record wall-clock handler cost (see
-// obs/trace.hpp); every simulated-time field in it is deterministic.
+// some span durations deliberately record wall-clock cost (simulator
+// dispatch under trace_sim, runtime recompiles; see obs/trace.hpp);
+// every simulated-time field in it is deterministic. fig4 without
+// trace_sim has no such span, so its trace.json is byte-identical too.
 //
 // Grid order is row-major over the parameter vectors in declaration
 // order (schemes, then loads, then seeds), i.e. exactly the nested

@@ -40,6 +40,15 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+bool json_needs_escape(std::string_view s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void JsonWriter::separator() {
   if (after_key_) {
     after_key_ = false;

@@ -15,6 +15,9 @@ namespace qv::obs {
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
 
+/// True when json_escape(s) would differ from s.
+bool json_needs_escape(std::string_view s);
+
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}

@@ -1,7 +1,9 @@
 #include "obs/trace.hpp"
 
+#include <charconv>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json_writer.hpp"
 
@@ -56,74 +58,95 @@ std::vector<TraceEvent> Tracer::events() const {
 
 namespace {
 
+/// Rows render into one reusable buffer that goes to the stream each
+/// time it passes this size: bounded memory for any ring capacity.
+constexpr std::size_t kFlushBytes = 64 * 1024;
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
 /// Chrome trace timestamps are microseconds; keep ns precision with a
 /// fixed three-decimal fraction (avoids double rounding for large ts).
-void write_us(std::ostream& out, TimeNs ns) {
-  out << ns / 1000 << '.';
+void append_us(std::string& out, TimeNs ns) {
+  append_int(out, ns / 1000);
+  out += '.';
   const auto frac = static_cast<int>(ns % 1000);
-  out << static_cast<char>('0' + frac / 100)
-      << static_cast<char>('0' + (frac / 10) % 10)
-      << static_cast<char>('0' + frac % 10);
+  out += static_cast<char>('0' + frac / 100);
+  out += static_cast<char>('0' + (frac / 10) % 10);
+  out += static_cast<char>('0' + frac % 10);
+}
+
+/// A JSON string; names are escaped only when they need it.
+void append_str(std::string& out, std::string_view s) {
+  out += '"';
+  if (json_needs_escape(s)) {
+    out += json_escape(s);
+  } else {
+    out += s;
+  }
+  out += '"';
 }
 
 }  // namespace
 
 void Tracer::write_json(std::ostream& out) const {
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
+  std::string buf;
+  buf.reserve(kFlushBytes + 512);
+  buf += R"({"displayTimeUnit":"ms","traceEvents":[)";
 
   // Process / thread metadata first, so viewers label the lanes.
-  w.begin_object();
-  w.key("ph").value("M");
-  w.key("pid").value(1);
-  w.key("tid").value(0);
-  w.key("name").value("process_name");
-  w.key("args").begin_object().key("name").value("qvisor").end_object();
-  w.end_object();
+  buf += R"({"ph":"M","pid":1,"tid":0,"name":"process_name",)"
+         R"("args":{"name":"qvisor"}})";
   for (const auto& [tid, name] : thread_names_) {
-    w.begin_object();
-    w.key("ph").value("M");
-    w.key("pid").value(1);
-    w.key("tid").value(tid);
-    w.key("name").value("thread_name");
-    w.key("args").begin_object().key("name").value(name).end_object();
-    w.end_object();
+    buf += R"(,{"ph":"M","pid":1,"tid":)";
+    append_int(buf, tid);
+    buf += R"(,"name":"thread_name","args":{"name":)";
+    append_str(buf, name);
+    buf += "}}";
   }
 
-  for (const TraceEvent& e : events()) {
-    w.begin_object();
-    w.key("name").value(e.name);
-    w.key("cat").value(trace_category_name(e.cat));
-    w.key("ph").value(std::string_view(&e.ph, 1));
-    w.key("pid").value(1);
-    w.key("tid").value(e.tid);
-    w.key("ts");
-    {
-      std::ostringstream ts;
-      write_us(ts, e.ts);
-      w.raw(ts.str());
-    }
+  // The ring in place, oldest first: a full ring starts at next_.
+  std::size_t i = count_ < ring_.size() ? 0 : next_;
+  for (std::size_t k = 0; k < count_; ++k) {
+    const TraceEvent& e = ring_[i];
+    i = i + 1 == ring_.size() ? 0 : i + 1;
+    buf += R"(,{"name":)";
+    append_str(buf, e.name);
+    buf += R"(,"cat":")";
+    buf += trace_category_name(e.cat);
+    buf += R"(","ph":")";
+    buf += e.ph;
+    buf += R"(","pid":1,"tid":)";
+    append_int(buf, e.tid);
+    buf += R"(,"ts":)";
+    append_us(buf, e.ts);
     if (e.ph == 'X') {
-      w.key("dur");
-      std::ostringstream dur;
-      write_us(dur, e.dur);
-      w.raw(dur.str());
+      buf += R"(,"dur":)";
+      append_us(buf, e.dur);
     }
-    if (e.ph == 'i') w.key("s").value("t");  // thread-scoped instant
+    if (e.ph == 'i') buf += R"(,"s":"t")";  // thread-scoped instant
     if (e.arg_name != nullptr) {
-      w.key("args").begin_object().key(e.arg_name).value(e.arg).end_object();
+      buf += R"(,"args":{)";
+      append_str(buf, e.arg_name);
+      buf += ':';
+      append_int(buf, e.arg);
+      buf += '}';
     }
-    w.end_object();
+    buf += '}';
+    if (buf.size() >= kFlushBytes) {
+      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
   }
 
-  w.end_array();
-  w.key("otherData").begin_object();
-  w.key("dropped_events").value(dropped_);
-  w.end_object();
-  w.end_object();
-  out << "\n";
+  buf += R"(],"otherData":{"dropped_events":)";
+  append_int(buf, dropped_);
+  buf += "}}\n";
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 std::string Tracer::to_json() const {

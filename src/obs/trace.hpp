@@ -109,7 +109,8 @@ class Tracer {
   /// Buffered events, oldest first.
   std::vector<TraceEvent> events() const;
 
-  /// Chrome trace-event JSON: {"traceEvents":[...],...}.
+  /// Chrome trace-event JSON: {"traceEvents":[...],...}. Streams the
+  /// ring in place, in chunks of about 64 KiB.
   void write_json(std::ostream& out) const;
   std::string to_json() const;
 

@@ -6,15 +6,21 @@ namespace qv::qvisor {
 
 BreakpointTransform quantile_transform_from_estimator(
     const RankDistEstimator& estimator, std::uint32_t levels, Rank base) {
-  std::vector<Rank> samples;
-  samples.reserve(estimator.samples());
-  // Pull the window through the quantile accessor at fine granularity:
-  // the estimator exposes order statistics, which is all we need.
+  // n evenly spaced order statistics of the window. The exact window is
+  // sorted once and indexed as quantile(q) indexes it; a plain copy of
+  // it would differ, because q * (n - 1) truncates below i for some
+  // slots (five at n = 1000). A sketch answers each q itself.
   const std::size_t n = estimator.samples();
+  const bool sketch = estimator.sketch_mode();
+  const std::vector<Rank> sorted =
+      sketch ? std::vector<Rank>{} : estimator.sorted_window();
+  std::vector<Rank> samples;
+  samples.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    samples.push_back(estimator.quantile(
-        n == 1 ? 0.0
-               : static_cast<double>(i) / static_cast<double>(n - 1)));
+    const double q =
+        n == 1 ? 0.0 : static_cast<double>(i) / static_cast<double>(n - 1);
+    samples.push_back(sketch ? estimator.quantile(q)
+                             : sorted[RankDistEstimator::quantile_index(q, n)]);
   }
   return BreakpointTransform::from_samples(std::move(samples), levels,
                                            base);

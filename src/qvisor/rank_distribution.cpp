@@ -51,17 +51,30 @@ sched::RankBounds RankDistEstimator::bounds() const {
   return b;
 }
 
+std::vector<Rank> RankDistEstimator::window_ranks() const {
+  std::vector<Rank> ranks(count_);
+  for (std::size_t i = 0; i < count_; ++i) ranks[i] = ring_[i].rank;
+  return ranks;
+}
+
 Rank RankDistEstimator::quantile(double q) const {
   if (digest_) return digest_->quantile(q);
   if (count_ == 0) return 0;
   assert(q >= 0.0 && q <= 1.0);
-  std::vector<Rank> ranks;
-  ranks.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) ranks.push_back(ring_[i].rank);
+  // nth_element places the same order statistic a full sort would put
+  // at this index, in linear rather than n log n time.
+  std::vector<Rank> ranks = window_ranks();
+  const auto nth = ranks.begin() + static_cast<std::ptrdiff_t>(
+                                       quantile_index(q, ranks.size()));
+  std::nth_element(ranks.begin(), nth, ranks.end());
+  return *nth;
+}
+
+std::vector<Rank> RankDistEstimator::sorted_window() const {
+  assert(!digest_);
+  std::vector<Rank> ranks = window_ranks();
   std::sort(ranks.begin(), ranks.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(ranks.size() - 1));
-  return ranks[idx];
+  return ranks;
 }
 
 double RankDistEstimator::rate_pps(TimeNs now) const {

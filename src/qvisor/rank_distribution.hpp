@@ -51,8 +51,18 @@ class RankDistEstimator {
   /// Empirical bounds over the current window. Meaningless when empty.
   sched::RankBounds bounds() const;
 
-  /// Empirical quantile (0 <= q <= 1) over the window.
+  /// Empirical quantile (0 <= q <= 1) over the window: the order
+  /// statistic at quantile_index(q, samples()), found by selection.
   Rank quantile(double q) const;
+
+  /// The exact window's ranks in ascending order, for callers that read
+  /// many quantiles (index it with quantile_index). Exact mode only.
+  std::vector<Rank> sorted_window() const;
+
+  /// Position of quantile q in a sorted window of n >= 1 ranks.
+  static std::size_t quantile_index(double q, std::size_t n) {
+    return static_cast<std::size_t>(q * static_cast<double>(n - 1));
+  }
 
   /// Arrival rate over the window, packets/second. 0 until the window
   /// spans a positive time interval.
@@ -67,6 +77,9 @@ class RankDistEstimator {
     Rank rank;
     TimeNs at;
   };
+
+  /// The ranks of the filled ring slots, in slot order.
+  std::vector<Rank> window_ranks() const;
 
   std::vector<Entry> ring_;
   std::size_t head_ = 0;   ///< next slot to overwrite

@@ -132,6 +132,9 @@ class BreakpointTransform {
   std::uint32_t levels() const { return levels_; }
   std::size_t steps() const { return from_.size(); }
 
+  friend bool operator==(const BreakpointTransform&,
+                         const BreakpointTransform&) = default;
+
  private:
   // Parallel arrays: ranks >= from_[i] (and < from_[i+1]) map to
   // level_[i]; ranks below from_[0] map to level_[0].

@@ -1,13 +1,14 @@
-// The PR's headline guarantee, asserted end to end: running an
-// experiment grid at --jobs 8 produces byte-identical artifacts to
+// The sweep engine's headline guarantee, asserted end to end: running
+// an experiment grid at --jobs N produces byte-identical artifacts to
 // --jobs 1 — flows.csv, metrics.json, the summary JSON, and the
-// in-memory cell summaries/logs. trace.json is deliberately outside
-// the contract (span durations record wall-clock handler cost; see
-// experiments/sweeps.hpp).
+// in-memory cell summaries/logs. fig4 (without trace_sim) also keeps
+// trace.json identical; fig2 and chaos do not, because their runtime
+// recompile spans record wall-clock cost (see experiments/sweeps.hpp).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -51,12 +52,16 @@ std::string without_artifact_line(const std::string& summary) {
   return out;
 }
 
-// Compare every non-trace artifact of two sweep output directories.
-void expect_dirs_identical(const fs::path& serial, const fs::path& parallel) {
+// Compare every artifact of two sweep output directories; trace.json
+// only when `with_traces`.
+void expect_dirs_identical(const fs::path& serial, const fs::path& parallel,
+                           bool with_traces = false) {
   std::size_t compared = 0;
   for (const auto& entry : fs::directory_iterator(serial)) {
     const std::string name = entry.path().filename().string();
-    if (name.find("_trace.json") != std::string::npos) continue;
+    if (!with_traces && name.find("_trace.json") != std::string::npos) {
+      continue;
+    }
     EXPECT_EQ(slurp(entry.path()), slurp(parallel / name))
         << "artifact differs across --jobs: " << name;
     ++compared;
@@ -97,6 +102,56 @@ TEST(SweepDeterminism, Fig2ArtifactsByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial[0].stem, (serial_dir / "fig2_fifo_s1").string());
   EXPECT_EQ(serial[3].stem, (serial_dir / "fig2_qvisor-adapt_s7").string());
   expect_dirs_identical(serial_dir, parallel_dir);
+}
+
+Fig4SweepConfig quick_fig4(const fs::path& out, std::size_t jobs) {
+  // The short horizon of the end-to-end benchmark's smoke mode. The
+  // thread sanitizer runs cells ~20x slower, so it takes a third of
+  // that horizon: the same code paths in about 2 s.
+#if defined(__SANITIZE_THREAD__)
+  constexpr TimeNs kShrink = 3;
+#else
+  constexpr TimeNs kShrink = 1;
+#endif
+  Fig4SweepConfig sweep;
+  sweep.base = fig4_scaled_config();
+  sweep.base.warmup = milliseconds(5) / kShrink;
+  sweep.base.measure_window = milliseconds(10) / kShrink;
+  sweep.base.drain = milliseconds(15) / kShrink;
+  sweep.schemes = {Fig4Scheme::kFifoBoth, Fig4Scheme::kQvisorShare,
+                   Fig4Scheme::kQvisorPfabricOverEdf};
+  sweep.loads = {0.5};
+  sweep.out_dir = out.string();
+  sweep.jobs = jobs;
+  // A 4,096-event ring still wraps and spans several writer chunks, at
+  // a fraction of the default ring's cost under the thread sanitizer.
+  sweep.obs.trace_capacity = 1u << 12;
+  return sweep;
+}
+
+// fig4 has no wall-clock trace producer unless trace_sim is set, so its
+// trace.json joins the contract: this pins the streaming trace writer
+// and the tenant-rank sampler's histograms end to end.
+TEST(SweepDeterminism, Fig4ArtifactsByteIdenticalAcrossJobs) {
+  const fs::path serial_dir = fresh_dir("fig4_j1");
+  const fs::path parallel_dir = fresh_dir("fig4_j2");
+  const auto serial = run_fig4_sweep(quick_fig4(serial_dir, 1));
+  const auto parallel = run_fig4_sweep(quick_fig4(parallel_dir, 2));
+
+  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(without_artifact_line(parallel[i].summary),
+              without_artifact_line(serial[i].summary))
+        << "cell " << i;
+    EXPECT_EQ(parallel[i].log, serial[i].log) << "cell " << i;
+  }
+  EXPECT_EQ(serial[2].stem, (serial_dir / "fig4_qvisor-pfabric").string());
+  // 3 cells x {flows.csv, metrics.json, trace.json} + fig4_summary.json.
+  EXPECT_EQ(std::distance(fs::directory_iterator(serial_dir),
+                          fs::directory_iterator{}),
+            10);
+  expect_dirs_identical(serial_dir, parallel_dir, /*with_traces=*/true);
 }
 
 ChaosSweepConfig quick_chaos(const fs::path& out, std::size_t jobs) {

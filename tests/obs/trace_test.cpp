@@ -121,5 +121,40 @@ TEST(Tracer, EmptyTraceStillValid) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 }
 
+// The exact trace.json bytes, pinned so the writer can be rewritten
+// without changing one output byte. Covers a wrapped ring, escaped
+// lane and event names, every event shape, and the timestamp edges of
+// the fixed three-decimal microsecond format.
+TEST(Tracer, JsonBytesPinned) {
+  Tracer t(/*capacity=*/4);
+  t.enable_all();
+  t.set_thread_name(2, "port \"sw0\"->h1");
+  t.set_thread_name(1, "lane\\1\ttab");
+  const char* odd = t.intern("say \"hi\" \\ \x01 bye");
+  // Overwritten by the wrap: two dropped events.
+  t.instant(TraceCategory::kSim, "lost", 5);
+  t.instant(TraceCategory::kSim, "lost", 6);
+  t.instant(TraceCategory::kSched, odd, /*ts=*/0, /*tid=*/2, "rank", 7);
+  t.instant(TraceCategory::kQvisor, "bare", /*ts=*/999);
+  t.complete(TraceCategory::kSim, "dispatch", /*ts=*/1000, /*dur=*/250,
+             /*tid=*/1);
+  t.counter(TraceCategory::kRuntime, "qdepth", /*ts=*/123456789,
+            /*value=*/42, /*tid=*/2);
+
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","traceEvents":[)"
+      R"({"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"qvisor"}},)"
+      R"({"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"lane\\1\ttab"}},)"
+      R"({"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"port \"sw0\"->h1"}},)"
+      R"({"name":"say \"hi\" \\ \u0001 bye","cat":"sched","ph":"i","pid":1,"tid":2,"ts":0.000,"s":"t","args":{"rank":7}},)"
+      R"({"name":"bare","cat":"qvisor","ph":"i","pid":1,"tid":0,"ts":0.999,"s":"t"},)"
+      R"({"name":"dispatch","cat":"sim","ph":"X","pid":1,"tid":1,"ts":1.000,"dur":0.250},)"
+      R"({"name":"qdepth","cat":"runtime","ph":"C","pid":1,"tid":2,"ts":123456.789,"args":{"value":42}})"
+      R"(],"otherData":{"dropped_events":2}})"
+      "\n";
+  EXPECT_EQ(t.to_json(), expected);
+  EXPECT_TRUE(testing::is_valid_json(t.to_json()));
+}
+
 }  // namespace
 }  // namespace qv::obs

@@ -98,6 +98,54 @@ TEST(BreakpointTransform, PointMassLandsMidBand) {
   EXPECT_EQ(t.apply(100), 9u);
 }
 
+// --- from an estimator -------------------------------------------------------
+
+// The transform as built before the one-sort path: one quantile() call
+// per window slot.
+BreakpointTransform per_q_scan(const RankDistEstimator& est,
+                               std::uint32_t levels, Rank base) {
+  const std::size_t n = est.samples();
+  std::vector<Rank> samples;
+  for (std::size_t i = 0; i < n; ++i) {
+    samples.push_back(est.quantile(
+        n == 1 ? 0.0 : static_cast<double>(i) / static_cast<double>(n - 1)));
+  }
+  return BreakpointTransform::from_samples(std::move(samples), levels, base);
+}
+
+TEST(QuantileTransformFromEstimator, EqualsPerQuantileScan) {
+  Rng rng(11);
+  for (const std::size_t n : {1u, 2u, 100u, 1000u, 1024u}) {
+    RankDistEstimator partial(2 * n);  // n of 2n slots filled
+    RankDistEstimator wrapped(n);      // 3n observed, last n kept
+    for (std::size_t i = 0; i < 3 * n; ++i) {
+      const auto r = static_cast<Rank>(rng.next_below(1u << 20));
+      if (i < n) partial.observe(r, static_cast<TimeNs>(i));
+      wrapped.observe(r, static_cast<TimeNs>(i));
+    }
+    for (const RankDistEstimator* est : {&partial, &wrapped}) {
+      ASSERT_EQ(est->samples(), n);
+      for (const std::uint32_t levels : {4u, 64u, 1024u}) {
+        EXPECT_EQ(quantile_transform_from_estimator(*est, levels, 7),
+                  per_q_scan(*est, levels, 7))
+            << "n " << n << " levels " << levels;
+      }
+    }
+  }
+}
+
+TEST(QuantileTransformFromEstimator, SortedCopyWouldMoveBreakpoints) {
+  // At n = 1000, i / 999.0 * 999.0 truncates to i - 1 for five slots, so
+  // the transform is not the one built from the sorted window itself.
+  // With distinct ranks and a level per rank, that shows in the steps.
+  RankDistEstimator est(1000);
+  for (Rank r = 0; r < 1000; ++r) est.observe(r * 3, r);
+  EXPECT_NE(quantile_transform_from_estimator(est, 1024, 0),
+            BreakpointTransform::from_samples(est.sorted_window(), 1024, 0));
+  EXPECT_EQ(quantile_transform_from_estimator(est, 1024, 0),
+            per_q_scan(est, 1024, 0));
+}
+
 // --- refinement --------------------------------------------------------------
 
 TEST(QuantileRefine, SwitchesTenantsWithEnoughSamples) {
