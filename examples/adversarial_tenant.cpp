@@ -61,7 +61,8 @@ int main() {
   cfg.activity_window = milliseconds(100);
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_adversarial = true;
-  RuntimeController controller(hv, cfg);
+  HypervisorTarget target(hv);
+  RuntimeController controller(target, cfg);
 
   // Both tenants transmit; mallory's ranks sit far outside its declared
   // bounds (every packet claims rank 9999).

@@ -4,6 +4,7 @@
 // and reacts to tenant activity seen ANYWHERE in the network.
 //
 //   $ ./network_wide
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -99,12 +100,16 @@ int main() {
   RuntimeConfig rc;
   rc.activity_window = milliseconds(10);
   rc.min_reconfig_interval = 0;
-  FleetController controller(fleet, rc);
+  FleetTarget target(fleet);
+  RuntimeController controller(target, rc);
   controller.tick(milliseconds(2));
 
   std::printf("\nafter fleet tick: active = {");
-  for (const auto& name : controller.active_tenants()) {
-    std::printf(" %s", name.c_str());
+  const auto& active = controller.active_tenants();  // sorted ids
+  for (const auto& spec : fleet.tenants()) {
+    if (std::binary_search(active.begin(), active.end(), spec.id)) {
+      std::printf(" %s", spec.name.c_str());
+    }
   }
   std::printf(" }, every switch re-programmed:\n");
   for (const auto& [name, index] : switch_index) {

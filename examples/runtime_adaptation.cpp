@@ -6,6 +6,7 @@
 // Phase 2 (20-40 ms): T3 (background/Fair Queuing) alone
 //
 //   $ ./runtime_adaptation
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -69,7 +70,8 @@ int main() {
   RuntimeConfig rc;
   rc.activity_window = milliseconds(3);
   rc.min_reconfig_interval = 0;
-  RuntimeController controller(hv, rc);
+  HypervisorTarget target(hv);
+  RuntimeController controller(target, rc);
 
   std::printf("%-8s %-28s %s\n", "t (ms)", "active tenants", "plan");
   for (TimeNs t = milliseconds(1); t <= milliseconds(38);
@@ -78,9 +80,11 @@ int main() {
       const bool adapted = controller.tick(t);
       if (!adapted) return;
       std::string active;
-      for (const auto& name : controller.active_tenants()) {
+      const auto& ids = controller.active_tenants();  // sorted
+      for (const auto& spec : hv.tenants()) {
+        if (!std::binary_search(ids.begin(), ids.end(), spec.id)) continue;
         if (!active.empty()) active += ",";
-        active += name;
+        active += spec.name;
       }
       std::printf("%-8.0f %-28s %s   [re-synthesized, #%llu]\n",
                   to_milliseconds(t), active.c_str(),

@@ -65,8 +65,8 @@ GroupedPolicy ControlPlane::effective_policy(const GroupedPolicy& base) const {
     }
   }
   eff.groups.push_back(std::move(jail));
-  // Strictly-lowest tier: the same jail shape the per-tenant
-  // controllers use, expressed over groups.
+  // Strictly-lowest tier: the same jail shape the per-tenant deploy
+  // targets use (qvisor::jailed_policy), expressed over groups.
   auto tiers = eff.policy.tiers();
   qvisor::PriorityTier tier;
   qvisor::SharingGroup cell;
@@ -305,87 +305,15 @@ void ControlPlane::export_metrics(obs::Registry& reg,
   });
 }
 
-// --- GroupFleetController ---------------------------------------------------
+// --- GroupTarget ------------------------------------------------------------
 
-GroupFleetController::GroupFleetController(ControlPlane& cp,
-                                           qvisor::RuntimeConfig config)
-    : cp_(cp), config_(config) {}
-
-bool GroupFleetController::tick(TimeNs now) {
-  qvisor::Fleet& fleet = cp_.fleet();
-  // Anti-entropy always runs: switches that missed the committed epoch
-  // (failed rollback push, agent reboot) heal on the controller's
-  // cadence.
-  fleet.reconcile(now);
-
-  if (last_reconfig_ >= 0 &&
-      now - last_reconfig_ < config_.min_reconfig_interval) {
-    return false;
-  }
-
-  std::vector<TenantId> desired = cp_.quarantined();
-  // Forgiveness first: a jailed tenant with a clean window gets its
-  // monitor state reset so it does not re-trip on the same verdict.
-  // EXCEPT a recidivist — a tenant that violated again WHILE jailed.
-  // Releasing one exactly at the window boundary would re-jail it a
-  // tick later, flapping the group plan through two structural
-  // recompiles (and letting hostile traffic run free in between).
-  // Instead its jail clock restarts in place: membership unchanged, no
-  // plan push, and release requires a fresh clean window with no
-  // violations since this re-quarantine.
-  if (config_.quarantine_clean_window > 0) {
-    std::vector<TenantId> kept;
-    for (const TenantId id : desired) {
-      const TimeNs last = fleet.last_violation_at(id);
-      if (last < 0 || now - last < config_.quarantine_clean_window) {
-        kept.push_back(id);  // violated too recently (or unknown)
-        continue;
-      }
-      const auto jailed = jailed_at_.find(id);
-      if (jailed != jailed_at_.end()) {
-        if (last >= jailed->second) {
-          jailed->second = now;  // recidivist: re-quarantined in place
-          kept.push_back(id);
-          continue;
-        }
-        if (now - jailed->second < config_.quarantine_clean_window) {
-          kept.push_back(id);  // jail term not yet fully served
-          continue;
-        }
-      }
-      fleet.reset_monitor(id);
-      jailed_at_.erase(id);
-      ++unquarantines_;
-    }
-    desired = std::move(kept);
-  }
-  if (config_.quarantine_adversarial) {
-    for (const TenantId id : fleet.adversarial()) {
-      if (!std::binary_search(desired.begin(), desired.end(), id)) {
-        desired.insert(
-            std::lower_bound(desired.begin(), desired.end(), id), id);
-      }
-    }
-  }
-  if (desired == cp_.quarantined()) return false;
-
-  const std::size_t before = cp_.quarantined().size();
-  const auto result = cp_.quarantine(std::move(desired), now);
-  quarantined_ = cp_.quarantined();
-  if (!result.ok) return false;
-  if (quarantined_.size() > before) {
-    quarantines_ += quarantined_.size() - before;
-  }
-  // Stamp the jail time of new inmates (the recidivism reference) and
-  // drop stamps that no longer correspond to a jailed tenant.
-  for (const TenantId id : quarantined_) jailed_at_.try_emplace(id, now);
-  std::erase_if(jailed_at_, [this](const auto& kv) {
-    return !std::binary_search(quarantined_.begin(), quarantined_.end(),
-                               kv.first);
-  });
-  ++adaptations_;
-  last_reconfig_ = now;
-  return !result.noop;
+bool GroupTarget::deploy(const std::vector<TenantId>& /*active*/,
+                         const std::vector<TenantId>& jailed,
+                         const qvisor::RuntimeConfig& /*config*/, TimeNs now,
+                         std::string& error) {
+  auto result = cp_.quarantine(jailed, now);
+  if (!result.ok) error = std::move(result.error);
+  return result.ok;
 }
 
 }  // namespace qv::control

@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "control/group_compiler.hpp"
@@ -160,45 +159,30 @@ class ControlPlane {
   obs::Log2Histogram incremental_latency_;  ///< ns per delta deploy
 };
 
-/// Fleet-level runtime controller for group mode: anti-entropy first
-/// (Fleet::reconcile heals switches that missed the committed epoch),
-/// then quarantine evaluation — tenants the monitor flags adversarial
-/// on ANY switch are jailed via ControlPlane::quarantine (an
-/// incremental redeploy once the jail tier exists), and forgiven after
-/// a clean window (RuntimeConfig::quarantine_clean_window). At a
-/// million tenants this is the whole point of the group rewrite: one
-/// misbehaving tenant re-synthesizes O(changed groups), not O(tenants).
-class GroupFleetController {
+/// Deploy target for the adaptation loop (qvisor/runtime.hpp) in group
+/// mode: a FleetTarget whose deploys go through ControlPlane::quarantine
+/// — jailed ids are span-split into the jail tier, an incremental
+/// redeploy once the tier exists. At a million tenants this is the whole
+/// point of the group rewrite: one misbehaving tenant re-synthesizes
+/// O(changed groups), not O(tenants). Group mode has no activity
+/// roster: every group stays provisioned, and the operator's deploy (not
+/// the loop) installs the first plan. The loop owns the jail: its next
+/// deploy replaces a set installed directly through quarantine().
+class GroupTarget final : public qvisor::FleetTarget {
  public:
-  GroupFleetController(ControlPlane& cp, qvisor::RuntimeConfig config = {});
+  /// `cp` must outlive the target.
+  explicit GroupTarget(ControlPlane& cp)
+      : qvisor::FleetTarget(cp.fleet()), cp_(cp) {}
 
-  /// Returns true when a redeploy was committed fleet-wide.
-  bool tick(TimeNs now);
-
-  const std::vector<TenantId>& quarantined() const { return quarantined_; }
-  std::uint64_t adaptations() const { return adaptations_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t unquarantines() const { return unquarantines_; }
-  const qvisor::RuntimeConfig& config() const { return config_; }
-
-  void export_metrics(obs::Registry& reg, const std::string& prefix) const {
-    reg.counter_view(prefix + ".adaptations", &adaptations_);
-    reg.counter_view(prefix + ".quarantines", &quarantines_);
-    reg.counter_view(prefix + ".unquarantines", &unquarantines_);
-  }
+  std::vector<TenantId> roster() const override { return {}; }
+  bool needs_plan() const override { return false; }
+  bool deploy(const std::vector<TenantId>& active,
+              const std::vector<TenantId>& jailed,
+              const qvisor::RuntimeConfig& config, TimeNs now,
+              std::string& error) override;
 
  private:
   ControlPlane& cp_;
-  qvisor::RuntimeConfig config_;
-  std::vector<TenantId> quarantined_;  ///< sorted, unique
-  /// When each jailed tenant was (re-)quarantined: the recidivism
-  /// reference for the forgiveness boundary (violated while jailed =>
-  /// jail clock restarts in place instead of release + re-jail flap).
-  std::unordered_map<TenantId, TimeNs> jailed_at_;
-  TimeNs last_reconfig_ = -1;
-  std::uint64_t adaptations_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t unquarantines_ = 0;
 };
 
 }  // namespace qv::control

@@ -125,7 +125,8 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   rc.retry_budget = config.retry_budget;
   rc.retry_backoff = config.retry_backoff;
   rc.retry_backoff_cap = config.retry_backoff_cap;
-  qvisor::FleetController controller(fleet, rc);
+  qvisor::FleetTarget target(fleet);
+  qvisor::RuntimeController controller(target, rc);
   for (TimeNs t = config.tick_interval; t < config.end;
        t += config.tick_interval) {
     sim.at(t, [&controller, t] { controller.tick(t); });

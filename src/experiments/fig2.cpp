@@ -3,6 +3,7 @@
 #include <cassert>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -168,7 +169,8 @@ Fig2Result run_fig2(const Fig2Config& config) {
   sim.at(0, [&] { start_bulk(); });
 
   // --- runtime controller --------------------------------------------------
-  std::unique_ptr<qvisor::RuntimeController> controller;
+  std::optional<qvisor::HypervisorTarget> target;
+  std::optional<qvisor::RuntimeController> controller;
   if (config.scheme == Fig2Scheme::kQvisorAdapt) {
     qvisor::RuntimeConfig rc;
     // The window must cover the interactive tenant's arrival gaps, or
@@ -177,7 +179,7 @@ Fig2Result run_fig2(const Fig2Config& config) {
     // test suite for the pathology).
     rc.activity_window = milliseconds(10);
     rc.min_reconfig_interval = milliseconds(2);
-    controller = std::make_unique<qvisor::RuntimeController>(*hv, rc);
+    controller.emplace(target.emplace(*hv), rc);
     for (TimeNs t = milliseconds(1); t < config.end; t += milliseconds(1)) {
       sim.at(t, [&, t] { controller->tick(t); });
     }

@@ -127,7 +127,8 @@ OverloadRun run_once(const OverloadConfig& config, bool attack) {
   rc.min_reconfig_interval = config.tick_interval;
   rc.quarantine_adversarial = true;
   rc.quarantine_clean_window = config.quarantine_clean_window;
-  qvisor::FleetController controller(fleet, rc);
+  qvisor::FleetTarget target(fleet);
+  qvisor::RuntimeController controller(target, rc);
   for (TimeNs t = config.tick_interval; t < config.end;
        t += config.tick_interval) {
     sim.at(t, [&controller, t] { controller.tick(t); });

@@ -17,7 +17,7 @@
 //   3. the attacker is throttled to its contract (admitted rate <=
 //      `attacker_rate_factor` x contracted rate + burst) and — when it
 //      is identifiable (not id-churning) — quarantined through the
-//      Monitor -> FleetController hysteresis path.
+//      Monitor -> adaptation-loop hysteresis path (FleetTarget).
 //   4. bounded state — spill-counter maps and monitor tenant tables
 //      stay within their caps even under id churn.
 #pragma once

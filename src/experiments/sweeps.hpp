@@ -15,7 +15,9 @@
 // some span durations deliberately record wall-clock cost (simulator
 // dispatch under trace_sim, runtime recompiles; see obs/trace.hpp);
 // every simulated-time field in it is deterministic. fig4 without
-// trace_sim has no such span, so its trace.json is byte-identical too.
+// trace_sim, chaos and overload have no such span (recompile spans are
+// the hypervisor deploy target's, fig2 only), so their trace.json is
+// byte-identical too.
 //
 // Grid order is row-major over the parameter vectors in declaration
 // order (schemes, then loads, then seeds), i.e. exactly the nested

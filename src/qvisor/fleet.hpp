@@ -6,8 +6,9 @@
 // identically: tenants and the operator policy are fleet-level state;
 // compile() is all-or-nothing (a plan that fails static analysis on
 // the common configuration deploys nowhere); per-tenant observations
-// aggregate across every switch so the fleet-level runtime controller
-// reacts to a tenant that is active ANYWHERE in the network.
+// aggregate across every switch so the adaptation loop (runtime.hpp,
+// through FleetTarget) reacts to a tenant that is active ANYWHERE in
+// the network.
 #pragma once
 
 #include <memory>
@@ -147,7 +148,7 @@ class Fleet {
   std::vector<TenantId> adversarial() const;
 
   /// Degraded pass-through mode on EVERY switch (see
-  /// Hypervisor::set_degraded); the fleet controller flips this when
+  /// Hypervisor::set_degraded); the adaptation loop flips this when
   /// its retry budget runs out.
   void set_degraded(bool degraded);
   bool degraded() const { return degraded_; }
@@ -222,77 +223,39 @@ class Fleet {
   bool degraded_ = false;
 };
 
-/// Fleet-level runtime controller: like RuntimeController, but the
-/// active set is "seen recently on ANY switch", quarantine verdicts
-/// aggregate across switches, and re-synthesis deploys fleet-wide
-/// (two-phase, with the Fleet's rollback + reconcile machinery). The
-/// self-healing behaviour mirrors RuntimeController: failed deploys
-/// retry with capped exponential backoff, an exhausted retry budget
-/// degrades every switch to pass-through ranks, and quarantined
-/// tenants are forgiven after a clean window.
-class FleetController {
+/// Deploy target for the adaptation loop (runtime.hpp) over a fleet:
+/// activity is "seen recently on ANY switch", adversarial verdicts and
+/// violations aggregate across switches, and each deploy is the fleet's
+/// two-phase commit with its rollback machinery. Anti-entropy
+/// (Fleet::reconcile) runs on every tick, ahead of the cadence gate.
+class FleetTarget : public DeployTarget {
  public:
-  FleetController(Fleet& fleet, RuntimeConfig config = {});
+  /// `fleet` must outlive the target.
+  explicit FleetTarget(Fleet& fleet) : fleet_(fleet) {}
 
-  /// Anti-entropy first (heal switches that missed the committed
-  /// epoch), then activity/quarantine evaluation and — if the tenant
-  /// set changed or a retry is due — a fleet-wide redeploy. Returns
-  /// true when a new plan was committed fleet-wide.
-  bool tick(TimeNs now);
-
-  const std::vector<std::string>& active_tenants() const { return active_; }
-  std::uint64_t adaptations() const { return adaptations_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t degraded_entries() const { return degraded_entries_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-  std::uint64_t unquarantines() const { return unquarantines_; }
-  bool degraded() const { return degraded_; }
-  const RuntimeConfig& config() const { return config_; }
-
-  /// Attach a tracer (not owned): forwarded to the fleet, plus
-  /// controller-level retry/degraded/quarantine instants.
-  void set_tracer(obs::Tracer* tracer);
-
-  /// Publish adaptation counters as live registry views.
-  void export_metrics(obs::Registry& reg, const std::string& prefix) const {
-    reg.counter_view(prefix + ".adaptations", &adaptations_);
-    reg.counter_view(prefix + ".quarantines", &quarantines_);
-    reg.counter_view(prefix + ".retries", &retries_);
-    reg.counter_view(prefix + ".degraded_entries", &degraded_entries_);
-    reg.counter_view(prefix + ".recoveries", &recoveries_);
-    reg.counter_view(prefix + ".unquarantines", &unquarantines_);
-    reg.gauge(prefix + ".degraded",
-              [this]() { return degraded_ ? 1.0 : 0.0; });
+  std::vector<TenantId> roster() const override;
+  std::optional<TimeNs> last_seen(TenantId tenant) const override {
+    return fleet_.last_seen(tenant);
   }
+  std::vector<TenantId> adversarial() const override {
+    return fleet_.adversarial();
+  }
+  TimeNs last_violation_at(TenantId tenant) const override {
+    return fleet_.last_violation_at(tenant);
+  }
+  void forgive(TenantId tenant) override { fleet_.reset_monitor(tenant); }
+  void set_degraded(bool degraded) override { fleet_.set_degraded(degraded); }
+  void prepare(TimeNs now) override { fleet_.reconcile(now); }
+  bool needs_plan() const override { return fleet_.committed_epoch() == 0; }
+  bool deploy(const std::vector<TenantId>& active,
+              const std::vector<TenantId>& jailed,
+              const RuntimeConfig& config, TimeNs now,
+              std::string& error) override;
+  /// Forwarded to the fleet (and every switch's monitor).
+  void set_tracer(obs::Tracer* tracer) override { fleet_.set_tracer(tracer); }
 
  private:
-  std::vector<std::string> compute_active(TimeNs now) const;
-  void apply_hysteresis(TimeNs now);
-  obs::Tracer* runtime_tracer() const {
-    return tracer_ != nullptr &&
-                   tracer_->enabled(obs::TraceCategory::kRuntime)
-               ? tracer_
-               : nullptr;
-  }
-
   Fleet& fleet_;
-  RuntimeConfig config_;
-  std::vector<std::string> active_;
-  std::vector<std::string> quarantined_;
-  TimeNs last_reconfig_ = -1;
-  std::uint64_t adaptations_ = 0;
-  std::uint64_t quarantines_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-
-  // Self-healing state (mirrors RuntimeController).
-  int consecutive_failures_ = 0;
-  TimeNs next_retry_at_ = -1;
-  bool degraded_ = false;
-  std::uint64_t retries_ = 0;
-  std::uint64_t degraded_entries_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t unquarantines_ = 0;
 };
 
 }  // namespace qv::qvisor

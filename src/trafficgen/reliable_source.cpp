@@ -83,6 +83,7 @@ void ReliableHostSource::pump() {
   if (fs.sent_at[best_seq] >= 0) ++retransmissions_;
   fs.in_flight[best_seq] = true;
   fs.sent_at[best_seq] = sim_.now();
+  sends_.push_back({best_flow, best_seq, sim_.now()});
   host_.send(p);
   ++packets_sent_;
   arm_timer();
@@ -120,20 +121,26 @@ void ReliableHostSource::arm_timer() {
 
 void ReliableHostSource::on_timeout() {
   // Expire in-flight packets older than the RTO so they become
-  // sendable again; re-arm if anything is still pending.
+  // sendable again; re-arm if anything is still pending. Only the
+  // expired prefix of the send log is visited, and an entry is stale —
+  // skipped — when its packet was acked or re-sent since, or its flow
+  // is gone: only a packet's latest send can expire it.
   const TimeNs now = sim_.now();
-  bool pending = false;
-  for (auto& [id, fs] : flows_) {
-    (void)id;
-    for (std::uint32_t s = 0; s < fs.num_packets; ++s) {
-      if (fs.acked[s]) continue;
-      if (fs.in_flight[s] && now - fs.sent_at[s] >= rto_) {
-        fs.in_flight[s] = false;  // eligible for retransmission
-        fs.scan_from = std::min(fs.scan_from, s);
-      }
-      pending = true;
+  while (!sends_.empty() && now - sends_.front().at >= rto_) {
+    const Sent sent = sends_.front();
+    sends_.pop_front();
+    const auto it = flows_.find(sent.flow);
+    if (it == flows_.end()) continue;
+    FlowState& fs = it->second;
+    if (sent.seq >= fs.num_packets || fs.acked[sent.seq] ||
+        fs.sent_at[sent.seq] != sent.at) {
+      continue;
     }
+    fs.in_flight[sent.seq] = false;  // eligible for retransmission
+    fs.scan_from = std::min(fs.scan_from, sent.seq);
   }
+  // on_ack erases a flow at its last ACK, so every flow left is pending.
+  const bool pending = !flows_.empty();
   if (!pumping_) pump();
   if (pending && timer_ == 0) arm_timer();
 }

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -76,6 +77,15 @@ class ReliableHostSource {
     }
   };
 
+  /// One transmission. The send log keeps them in send (= time)
+  /// order, so a timeout visits only the expired prefix instead of
+  /// every packet of every flow.
+  struct Sent {
+    FlowId flow = 0;
+    std::uint32_t seq = 0;
+    TimeNs at = 0;
+  };
+
   void pump();
   void arm_timer();
   void on_timeout();
@@ -88,6 +98,7 @@ class ReliableHostSource {
   TimeNs rto_;
   std::int32_t mtu_;
   std::unordered_map<FlowId, FlowState> flows_;
+  std::deque<Sent> sends_;
   bool pumping_ = false;
   netsim::EventId timer_ = 0;
   TimeNs timer_at_ = 0;

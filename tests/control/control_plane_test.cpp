@@ -1,6 +1,6 @@
 // ControlPlane: incremental re-synthesis through the two-phase fleet
-// commit, quarantine-by-policy-rewrite, and the GroupFleetController
-// (ISSUE 7 tentpole, pillar 3).
+// commit, quarantine-by-policy-rewrite, and the adaptation loop driving
+// it through a GroupTarget.
 #include "control/control_plane.hpp"
 
 #include <gtest/gtest.h>
@@ -331,7 +331,7 @@ TEST_F(ControlPlaneTest, ExportsDeployCountersAndPlanMemory) {
   EXPECT_GT(reg.gauge_value("cp.resynthesis.full.count"), 0.0);
 }
 
-// --- GroupFleetController --------------------------------------------------
+// --- the adaptation loop on a GroupTarget -----------------------------------
 
 class GroupControllerTest : public ControlPlaneTest {
  protected:
@@ -356,7 +356,8 @@ TEST_F(GroupControllerTest, QuarantinesAdversarialTenantFleetWide) {
 
   qvisor::RuntimeConfig cfg;
   cfg.min_reconfig_interval = 0;
-  GroupFleetController ctl(cp_, cfg);
+  GroupTarget target(cp_);
+  qvisor::RuntimeController ctl(target, cfg);
   ASSERT_TRUE(ctl.tick(milliseconds(1)));
   EXPECT_EQ(ctl.quarantines(), 1u);
   EXPECT_EQ(ctl.quarantined(), (std::vector<TenantId>{3}));
@@ -376,7 +377,8 @@ TEST_F(GroupControllerTest, ForgivesAfterACleanWindow) {
   qvisor::RuntimeConfig cfg;
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_clean_window = milliseconds(10);
-  GroupFleetController ctl(cp_, cfg);
+  GroupTarget target(cp_);
+  qvisor::RuntimeController ctl(target, cfg);
   ASSERT_TRUE(ctl.tick(milliseconds(2)));
   ASSERT_EQ(ctl.quarantined(), (std::vector<TenantId>{3}));
   // Still inside the clean window: stays jailed.
@@ -406,7 +408,8 @@ TEST_F(GroupControllerTest, RecidivistAtForgivenessBoundaryDoesNotFlap) {
   qvisor::RuntimeConfig cfg;
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_clean_window = milliseconds(10);
-  GroupFleetController ctl(cp_, cfg);
+  GroupTarget target(cp_);
+  qvisor::RuntimeController ctl(target, cfg);
   ASSERT_TRUE(ctl.tick(milliseconds(2)));
   ASSERT_EQ(ctl.quarantined(), (std::vector<TenantId>{3}));
   ASSERT_EQ(cp_.deployed()->group_count(), 4u);  // jail tier live
@@ -438,7 +441,8 @@ TEST_F(GroupControllerTest, RecidivistAtForgivenessBoundaryDoesNotFlap) {
 TEST_F(GroupControllerTest, TickRunsAntiEntropyEvenWhenIdle) {
   fleet_.hypervisor(2).clear_plan();
   EXPECT_FALSE(fleet_.epochs_consistent());
-  GroupFleetController ctl(cp_);
+  GroupTarget target(cp_);
+  qvisor::RuntimeController ctl(target);
   EXPECT_FALSE(ctl.tick(milliseconds(5)));  // no redeploy needed...
   EXPECT_TRUE(fleet_.epochs_consistent());  // ...but the switch healed
   EXPECT_EQ(fleet_.reconciles(), 1u);

@@ -1,8 +1,8 @@
 // The sweep engine's headline guarantee, asserted end to end: running
 // an experiment grid at --jobs N produces byte-identical artifacts to
 // --jobs 1 — flows.csv, metrics.json, the summary JSON, and the
-// in-memory cell summaries/logs. fig4 (without trace_sim) also keeps
-// trace.json identical; fig2 and chaos do not, because their runtime
+// in-memory cell summaries/logs. fig4 (without trace_sim) and overload
+// also keep trace.json identical; fig2 does not, because its runtime
 // recompile spans record wall-clock cost (see experiments/sweeps.hpp).
 #include <gtest/gtest.h>
 
@@ -190,6 +190,51 @@ TEST(SweepDeterminism, ChaosArtifactsByteIdenticalAcrossJobs) {
   }
   EXPECT_EQ(serial[0].stem, (serial_dir / "chaos_s1").string());
   expect_dirs_identical(serial_dir, parallel_dir);
+}
+
+OverloadSweepConfig quick_overload(const fs::path& out, std::size_t jobs) {
+  OverloadSweepConfig sweep;
+  // A short attack (5-12 ms) that the controller jails at 6 ms. The
+  // attacker violated while jailed, so its term restarts at 16 ms, a
+  // clean window after its last violation, and it is released at 20 ms:
+  // the adaptation loop's release rule inside the sweep.
+  sweep.base.attack_stop = milliseconds(12);
+  sweep.base.traffic_stop = milliseconds(24);
+  sweep.base.end = milliseconds(28);
+  sweep.base.quarantine_clean_window = milliseconds(4);
+  // Two identifiable attackers; the id churner sends 4x the packets
+  // and would dominate the thread-sanitizer run.
+  sweep.modes = {trafficgen::AdversaryMode::kFlooder,
+                 trafficgen::AdversaryMode::kBurstHerd};
+  sweep.seeds = {1};
+  sweep.out_dir = out.string();
+  sweep.jobs = jobs;
+  return sweep;
+}
+
+// The overload harness's controller runs on a FleetTarget, which emits
+// no wall-clock spans, so trace.json joins the contract here too.
+TEST(SweepDeterminism, OverloadArtifactsByteIdenticalAcrossJobs) {
+  const fs::path serial_dir = fresh_dir("overload_j1");
+  const fs::path parallel_dir = fresh_dir("overload_j2");
+  const auto serial = run_overload_sweep(quick_overload(serial_dir, 1));
+  const auto parallel = run_overload_sweep(quick_overload(parallel_dir, 2));
+
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(without_artifact_line(parallel[i].summary),
+              without_artifact_line(serial[i].summary))
+        << "cell " << i;
+    EXPECT_EQ(parallel[i].log, serial[i].log) << "cell " << i;
+    EXPECT_EQ(parallel[i].ok, serial[i].ok) << "cell " << i;
+  }
+  EXPECT_EQ(serial[0].stem, (serial_dir / "overload_flooder").string());
+  // 2 cells x {metrics.json, trace.json} + overload_summary.json.
+  EXPECT_EQ(std::distance(fs::directory_iterator(serial_dir),
+                          fs::directory_iterator{}),
+            5);
+  expect_dirs_identical(serial_dir, parallel_dir, /*with_traces=*/true);
 }
 
 TEST(SweepDeterminism, RerunIsBitIdenticalToItself) {

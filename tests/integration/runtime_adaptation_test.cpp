@@ -78,7 +78,8 @@ TEST(RuntimeAdaptation, Fig2TenantChurnEndToEnd) {
   RuntimeConfig rc_cfg;
   rc_cfg.activity_window = milliseconds(3);
   rc_cfg.min_reconfig_interval = 0;
-  RuntimeController controller(hv, rc_cfg);
+  qvisor::HypervisorTarget target(hv);
+  RuntimeController controller(target, rc_cfg);
   for (TimeNs t = milliseconds(1); t <= milliseconds(30);
        t += milliseconds(1)) {
     sim.at(t, [&, t] { controller.tick(t); });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "netsim/simulator.hpp"
@@ -47,6 +48,33 @@ TEST(ScheduleSamplers, DrivesTicksOnTheSimulatorCadence) {
   // Ticks on (0, end]: 100, 200, 300, 400 (450 is not a multiple).
   EXPECT_EQ(seen, (std::vector<TimeNs>{100, 200, 300, 400}));
   EXPECT_EQ(set.ticks(), 4u);
+}
+
+TEST(ScheduleSamplers, TicksKeepTheirPlaceAmongSameTimeEvents) {
+  // Every tick's sequence number is reserved when schedule_samplers()
+  // runs, even though one timer fires them all: a same-time event
+  // scheduled before that call runs before the tick, one scheduled
+  // after it runs after the tick.
+  netsim::Simulator sim;
+  SamplerSet set;
+  std::vector<std::string> order;
+  set.add("probe", [&order](TimeNs now) {
+    order.push_back("tick@" + std::to_string(now));
+  });
+  sim.at(300, [&order] { order.push_back("before@300"); });
+  schedule_samplers(sim, set, /*interval=*/100, /*end=*/300);
+  sim.at(300, [&order] { order.push_back("after@300"); });
+  sim.at(200, [&order] { order.push_back("after@200"); });
+  sim.run();
+
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"tick@100", "tick@200", "after@200",
+                                      "before@300", "tick@300",
+                                      "after@300"}));
+  // Each tick still counts as a dispatched event, but only one timer
+  // is ever queued for them: at most 4 events are live, not 6.
+  EXPECT_EQ(sim.events_processed(), 6u);
+  EXPECT_EQ(sim.wheel_stats().peak_live, 4u);
 }
 
 }  // namespace

@@ -97,7 +97,8 @@ TEST_F(FleetTest, ControllerReactsToActivityAnywhere) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = 0;
-  FleetController controller(fleet_, cfg);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target, cfg);
 
   // a active on switch 0, c active on switch 1, b silent everywhere.
   for (int i = 0; i < 3; ++i) {
@@ -105,8 +106,7 @@ TEST_F(FleetTest, ControllerReactsToActivityAnywhere) {
     port1->enqueue(labeled(3, 1), milliseconds(1));
   }
   ASSERT_TRUE(controller.tick(milliseconds(2)));
-  EXPECT_EQ(controller.active_tenants(),
-            (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(controller.active_tenants(), (std::vector<TenantId>{1, 3}));
   // Every switch's plan now provisions exactly {a, c}.
   for (std::size_t s = 0; s < fleet_.switch_count(); ++s) {
     EXPECT_EQ(fleet_.hypervisor(s).plan().tenants.size(), 2u);
@@ -120,7 +120,8 @@ TEST_F(FleetTest, ControllerStableWithoutChange) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = 0;
-  FleetController controller(fleet_, cfg);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target, cfg);
   port0->enqueue(labeled(1, 1), milliseconds(1));
   EXPECT_TRUE(controller.tick(milliseconds(2)));
   port0->enqueue(labeled(1, 1), milliseconds(3));
@@ -271,7 +272,7 @@ TEST_F(FleetTest, FailedDeployEmitsRuntimeTraceEvents) {
   EXPECT_NE(json.find("rollback"), std::string::npos);
 }
 
-// --- FleetController parity (ISSUE 3 satellite) ---------------------------
+// --- the adaptation loop on a FleetTarget -----------------------------------
 
 TEST_F(FleetTest, ControllerQuarantinesAndForgivesAcrossSwitches) {
   ASSERT_TRUE(fleet_.compile().ok);
@@ -282,7 +283,8 @@ TEST_F(FleetTest, ControllerQuarantinesAndForgivesAcrossSwitches) {
   cfg.activity_window = milliseconds(200);
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_clean_window = milliseconds(10);
-  FleetController controller(fleet_, cfg);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target, cfg);
 
   // a is a good citizen on switch 0; c floods out-of-bounds ranks on
   // switch 1 ONLY — the quarantine verdict still applies fleet-wide.
@@ -318,7 +320,8 @@ TEST_F(FleetTest, ControllerDegradesFleetWideAndRecovers) {
   cfg.retry_budget = 1;
   cfg.retry_backoff = milliseconds(1);
   cfg.retry_backoff_cap = milliseconds(1);
-  FleetController controller(fleet_, cfg);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target, cfg);
 
   // Switch 2's agent goes dark: every deploy attempt fails fleet-wide
   // (all-or-nothing), and the budget runs out after one retry.
@@ -350,7 +353,9 @@ TEST_F(FleetTest, ControllerTickRunsAntiEntropy) {
   ASSERT_TRUE(fleet_.compile().ok);
   RuntimeConfig cfg;
   cfg.min_reconfig_interval = milliseconds(1);
-  FleetController controller(fleet_, cfg);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target, cfg);
+  ASSERT_TRUE(controller.tick(milliseconds(1)));  // the loop's first deploy
 
   // Switch 1 reboots and loses its plan; the controller's next tick
   // heals it via reconcile() even though the tenant set is unchanged.
@@ -363,7 +368,8 @@ TEST_F(FleetTest, ControllerTickRunsAntiEntropy) {
 
 TEST_F(FleetTest, ControllerExportsSelfHealingCounters) {
   ASSERT_TRUE(fleet_.compile().ok);
-  FleetController controller(fleet_);
+  FleetTarget target(fleet_);
+  RuntimeController controller(target);
   obs::Registry reg;
   controller.export_metrics(reg, "fleet.ctl");
   const auto counters = reg.counter_snapshot();

@@ -260,7 +260,8 @@ TEST(QuantileRuntime, ControllerAppliesRefinement) {
   cfg.min_reconfig_interval = 0;
   cfg.quantile_normalization = true;
   cfg.quantile_min_samples = 64;
-  RuntimeController rc(hv, cfg);
+  HypervisorTarget target(hv);
+  RuntimeController rc(target, cfg);
 
   // Feed skewed traffic so estimators fill.
   Rng rng(9);

@@ -45,27 +45,31 @@ class RuntimeTest : public ::testing::Test {
   }
 
   Hypervisor hv_;
+  HypervisorTarget target_{hv_};
   std::unique_ptr<sched::Scheduler> port_;
 };
 
 TEST_F(RuntimeTest, NoTrafficKeepsFullPlan) {
-  RuntimeController rc(hv_);
-  EXPECT_FALSE(rc.tick(milliseconds(5)));
+  RuntimeController rc(target_);
+  // The first tick deploys the loop's own view: every tenant.
+  EXPECT_TRUE(rc.tick(milliseconds(5)));
+  EXPECT_FALSE(rc.tick(milliseconds(6)));
   EXPECT_EQ(rc.active_tenants().size(), 3u);
-  EXPECT_EQ(rc.adaptations(), 0u);
+  EXPECT_EQ(rc.adaptations(), 1u);
+  EXPECT_EQ(hv_.plan().tenants.size(), 3u);
 }
 
 TEST_F(RuntimeTest, AdaptsWhenTenantSetShrinks) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = 0;
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   // Only A and B transmit.
   traffic(1, milliseconds(1));
   traffic(2, milliseconds(1));
   EXPECT_TRUE(rc.tick(milliseconds(2)));
-  EXPECT_EQ(rc.active_tenants(), (std::vector<std::string>{"A", "B"}));
+  EXPECT_EQ(rc.active_tenants(), (std::vector<TenantId>{1, 2}));
   EXPECT_EQ(rc.adaptations(), 1u);
   // The installed plan now only provisions A and B.
   EXPECT_EQ(hv_.plan().tenants.size(), 2u);
@@ -77,7 +81,7 @@ TEST_F(RuntimeTest, SteadyStateDoesNotThrash) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = 0;
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
   traffic(1, milliseconds(1));
   EXPECT_TRUE(rc.tick(milliseconds(2)));
   // Same active set again: no re-deploy.
@@ -92,7 +96,7 @@ TEST_F(RuntimeTest, Fig2TenantShiftExpandsNewTenant) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = 0;
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   traffic(1, milliseconds(1));
   traffic(2, milliseconds(1));
@@ -101,7 +105,7 @@ TEST_F(RuntimeTest, Fig2TenantShiftExpandsNewTenant) {
   // t1: A and B stop; C starts.
   traffic(3, milliseconds(30));
   ASSERT_TRUE(rc.tick(milliseconds(31)));
-  EXPECT_EQ(rc.active_tenants(), (std::vector<std::string>{"C"}));
+  EXPECT_EQ(rc.active_tenants(), (std::vector<TenantId>{3}));
   ASSERT_EQ(hv_.plan().tenants.size(), 1u);
   // Alone in the plan, C starts at the very top of the rank space.
   EXPECT_EQ(hv_.plan().find("C")->transform.out_min(), 0u);
@@ -111,7 +115,7 @@ TEST_F(RuntimeTest, ReconfigIntervalThrottles) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(10);
   cfg.min_reconfig_interval = milliseconds(100);
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
   traffic(1, milliseconds(1));
   EXPECT_TRUE(rc.tick(milliseconds(2)));
   traffic(2, milliseconds(3));
@@ -125,7 +129,7 @@ TEST_F(RuntimeTest, QuarantinesAdversarialTenant) {
   cfg.activity_window = milliseconds(50);
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_adversarial = true;
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   // Tenant A floods with out-of-bounds ranks; B behaves.
   for (int i = 0; i < 200; ++i) {
@@ -152,7 +156,7 @@ TEST_F(RuntimeTest, TightenBoundsUsesObservedRanks) {
   cfg.min_reconfig_interval = 0;
   cfg.tighten_bounds = true;
   cfg.tighten_min_samples = 100;
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   // A only ever uses ranks 40..60 of its declared [0, 100].
   for (int i = 0; i < 300; ++i) {
@@ -180,7 +184,7 @@ TEST_F(RuntimeTest, RetryBackoffGatesReattempts) {
   cfg.retry_budget = 10;
   cfg.retry_backoff = milliseconds(2);
   cfg.retry_backoff_cap = milliseconds(8);
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   // Every install is rejected: the switch agent is unreachable.
   hv_.set_install_fault([](std::uint64_t) { return true; });
@@ -212,7 +216,7 @@ TEST_F(RuntimeTest, DegradesAfterBudgetAndRecovers) {
   cfg.retry_budget = 1;
   cfg.retry_backoff = milliseconds(1);
   cfg.retry_backoff_cap = milliseconds(1);
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   hv_.set_install_fault([](std::uint64_t) { return true; });
   traffic(1, milliseconds(1));
@@ -243,7 +247,7 @@ TEST_F(RuntimeTest, UnquarantinesAfterCleanWindow) {
   cfg.activity_window = milliseconds(200);
   cfg.min_reconfig_interval = 0;
   cfg.quarantine_clean_window = milliseconds(10);
-  RuntimeController rc(hv_, cfg);
+  RuntimeController rc(target_, cfg);
 
   // C floods out-of-bounds ranks until the monitor flags it.
   for (int i = 0; i < 200; ++i) {

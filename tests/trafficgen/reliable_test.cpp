@@ -167,6 +167,26 @@ TEST(ReliableTransport, StaleAckIsIgnored) {
   EXPECT_EQ(rig.source->active_flows(), 0u);
 }
 
+TEST(ReliableTransport, StaleSendLogEntryNeitherExpiresNorRewinds) {
+  // Flow 1 is sent at 0 and ACKed long before the RTO, so its send-log
+  // entry is still queued when a NEW flow 1 re-sends (flow 1, seq 0) at
+  // 495 us. The timeout at 500 us pops the old entry: that packet was
+  // re-sent since (and is ACKed ~30 us later), so the entry must
+  // neither expire it into a spurious retransmission nor rewind the
+  // flow's scan cursor.
+  Rig rig;
+  int done = 0;
+  rig.source->set_on_flow_done([&](FlowId, TimeNs) { ++done; });
+  rig.source->start_flow(1, rig.dst->id(), 1500);
+  rig.sim.at(microseconds(495),
+             [&] { rig.source->start_flow(1, rig.dst->id(), 1500); });
+  rig.sim.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(rig.source->packets_sent(), 2u);
+  EXPECT_EQ(rig.source->retransmissions(), 0u);
+  EXPECT_EQ(rig.source->active_flows(), 0u);
+}
+
 TEST(ReliableTransport, RetransmissionCarriesUpdatedRank) {
   // After ACKs shrink the un-ACKed byte count, later (re)transmissions
   // carry smaller pFabric ranks; just assert monotone non-increasing
