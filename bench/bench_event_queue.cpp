@@ -5,11 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "netsim/event.hpp"
 #include "netsim/packet.hpp"
@@ -20,67 +15,9 @@ namespace {
 using namespace qv;
 using namespace qv::netsim;
 
-/// The seed implementation, reproduced verbatim from the pre-refactor
-/// EventQueue: a std::priority_queue of std::function entries with a
-/// lazily-skimmed cancelled-id hash set. Kept here as the "before"
-/// side of BENCH_hotpath.json so both sides run under the identical
-/// harness.
-class LegacyHeapEventQueue {
- public:
-  using Fn = std::function<void()>;
-
-  EventId schedule(TimeNs at, Fn fn) {
-    const EventId id = next_id_++;
-    heap_.push(Entry{at, id, std::move(fn)});
-    ++live_;
-    return id;
-  }
-
-  void cancel(EventId id) {
-    if (id == 0 || id >= next_id_) return;
-    if (cancelled_.insert(id).second && live_ > 0) --live_;
-  }
-
-  TimeNs run_next() {
-    skim();
-    const TimeNs at = heap_.top().at;
-    Fn fn = std::move(heap_.top().fn);
-    heap_.pop();
-    --live_;
-    fn();
-    return at;
-  }
-
- private:
-  struct Entry {
-    TimeNs at;
-    EventId id;
-    mutable Fn fn;
-
-    friend bool operator>(const Entry& a, const Entry& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
-  };
-
-  void skim() {
-    while (!heap_.empty()) {
-      auto it = cancelled_.find(heap_.top().id);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::uint64_t next_id_ = 1;
-  std::size_t live_ = 0;
-};
-
 /// Steady-state churn at depth ~`depth`: run one event, schedule one.
-/// Templated over the queue so the current and legacy implementations
-/// run under the identical harness.
+/// Templated over the queue so the wheel and heap-only layouts run
+/// under the identical harness.
 template <class Queue>
 void run_schedule_run(benchmark::State& state) {
   Queue q;
@@ -108,11 +45,6 @@ void BM_EventScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_LegacyEventScheduleRun(benchmark::State& state) {
-  run_schedule_run<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
-
 /// The retransmission-timer pattern: schedule a timer, cancel it before
 /// it fires (plus a baseline event churn to keep the heap busy).
 template <class Queue>
@@ -138,11 +70,6 @@ void BM_EventScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventScheduleCancel);
 
-void BM_LegacyEventScheduleCancel(benchmark::State& state) {
-  run_schedule_cancel<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventScheduleCancel);
-
 /// Packet-sized captures: the payload every Link callback carries.
 template <class Queue>
 void run_packet_capture(benchmark::State& state) {
@@ -166,17 +93,12 @@ void BM_EventPacketCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_EventPacketCapture);
 
-void BM_LegacyEventPacketCapture(benchmark::State& state) {
-  run_packet_capture<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventPacketCapture);
-
 /// The per-event reference engine's queue layout: the CURRENT
 /// EventQueue with the timing wheel bypassed (everything routed
-/// through the overflow heap). Unlike LegacyHeapEventQueue above this
-/// shares slot storage, EventFn, and cancel semantics with the wheel
-/// path, so wheel-vs-heap-only pairs isolate the ORDERING structure —
-/// exactly the split run_benchmarks.py --simcore reports.
+/// through the overflow heap). It shares slot storage, EventFn, and
+/// cancel semantics with the wheel path, so wheel-vs-heap-only pairs
+/// isolate the ORDERING structure — exactly the split
+/// run_benchmarks.py --simcore reports.
 struct HeapOnlyEventQueue : EventQueue {
   HeapOnlyEventQueue() { set_heap_only(true); }
 };
@@ -197,8 +119,8 @@ BENCHMARK(BM_HeapOnlyEventScheduleCancel);
 // lands in the level-0 window. These distributions attack its weak
 // spots — far-future overflow, cancel-heavy churn, and a pure drain
 // with no interleaved schedules (min-scan cost with nothing amortizing
-// it). Each runs on the wheel, the heap-only layout, and the legacy
-// seed queue under the identical harness.
+// it). Each runs on the wheel and the heap-only layout under the
+// identical harness.
 
 /// Bimodal horizons at depth `depth`: 7 of 8 events are near (within
 /// the level-0 window), 1 of 8 is far (~50 ms ahead — parks in the
@@ -238,11 +160,6 @@ void BM_HeapOnlyEventBimodalHorizon(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapOnlyEventBimodalHorizon)->Arg(1024)->Arg(16384);
 
-void BM_LegacyEventBimodalHorizon(benchmark::State& state) {
-  run_bimodal_horizon<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventBimodalHorizon)->Arg(1024)->Arg(16384);
-
 /// Cancel-heavy churn: schedule four timers, cancel three before they
 /// fire, run one — the retransmission pattern at its worst (75% of
 /// scheduled work is wasted and must be unlinked, not skimmed).
@@ -275,11 +192,6 @@ void BM_HeapOnlyEventCancelHeavy(benchmark::State& state) {
   run_cancel_heavy<HeapOnlyEventQueue>(state);
 }
 BENCHMARK(BM_HeapOnlyEventCancelHeavy);
-
-void BM_LegacyEventCancelHeavy(benchmark::State& state) {
-  run_cancel_heavy<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventCancelHeavy);
 
 /// Monotone drain: fill `n` events in random rank order, then drain
 /// the queue dry with no interleaved schedules. This is the coalesced
@@ -316,11 +228,6 @@ void BM_HeapOnlyEventMonotoneDrain(benchmark::State& state) {
   run_monotone_drain<HeapOnlyEventQueue>(state);
 }
 BENCHMARK(BM_HeapOnlyEventMonotoneDrain)->Arg(4096);
-
-void BM_LegacyEventMonotoneDrain(benchmark::State& state) {
-  run_monotone_drain<LegacyHeapEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventMonotoneDrain)->Arg(4096);
 
 }  // namespace
 

@@ -7,9 +7,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "qvisor/backend.hpp"
@@ -60,8 +59,7 @@ std::vector<Packet> packet_stream(std::int64_t tenants, std::size_t count) {
 
 /// 16 packets per benchmark iteration: the system Google benchmark
 /// library is a debug build whose per-iteration bookkeeping would
-/// otherwise swamp a few-nanosecond operation. Applied identically to
-/// the dense and legacy-map scalar benches.
+/// otherwise swamp a few-nanosecond operation.
 constexpr int kScalarUnroll = 16;
 
 void BM_PreprocessorProcess(benchmark::State& state) {
@@ -121,70 +119,6 @@ void BM_PreprocessorProcessGuarded(benchmark::State& state) {
   state.SetItemsProcessed(packets);
 }
 BENCHMARK(BM_PreprocessorProcessGuarded)->Arg(2)->Arg(8)->Arg(32);
-
-/// The seed implementation, reproduced verbatim from the pre-refactor
-/// Preprocessor: one unordered_map find per packet plus a hashed
-/// per-tenant counter bump. Kept here as the "before" side of
-/// BENCH_hotpath.json so both sides run under the identical harness.
-class LegacyMapPreprocessor {
- public:
-  void install(const SynthesisPlan& plan) {
-    std::unordered_map<TenantId, Installed> next;
-    next.reserve(plan.tenants.size());
-    for (const auto& tp : plan.tenants) {
-      next.emplace(tp.tenant, Installed{tp.transform, tp.quantile});
-    }
-    transforms_ = std::move(next);
-    rank_space_ = plan.rank_space;
-  }
-
-  bool process(Packet& p) {
-    ++processed_;
-    ++per_tenant_[p.tenant];
-    const Rank label = p.original_rank;
-    const auto it = transforms_.find(p.tenant);
-    if (it == transforms_.end()) {
-      p.rank = rank_space_ == 0 ? kMaxRank : rank_space_ - 1;
-      return true;
-    }
-    const Installed& installed = it->second;
-    const auto bounds = installed.range.input_bounds();
-    if (label < bounds.min || label > bounds.max) ++out_of_bounds_;
-    p.rank = installed.quantile ? installed.quantile->apply(label)
-                                : installed.range.apply(label);
-    return true;
-  }
-
- private:
-  struct Installed {
-    RankTransform range;
-    std::optional<BreakpointTransform> quantile;
-  };
-  std::unordered_map<TenantId, Installed> transforms_;
-  std::unordered_map<TenantId, std::uint64_t> per_tenant_;
-  Rank rank_space_ = 0;
-  std::uint64_t processed_ = 0;
-  std::uint64_t out_of_bounds_ = 0;
-};
-
-void BM_PreprocessorLegacyMap(benchmark::State& state) {
-  LegacyMapPreprocessor pre;
-  pre.install(plan_with_tenants(static_cast<int>(state.range(0))));
-  constexpr std::size_t kStream = 4096;
-  std::vector<Packet> stream = packet_stream(state.range(0), kStream);
-  std::int64_t packets = 0;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kScalarUnroll; ++i) {
-      Packet& p = stream[next++ & (kStream - 1)];
-      benchmark::DoNotOptimize(pre.process(p));
-      benchmark::DoNotOptimize(p.rank);
-    }
-    packets += kScalarUnroll;
-  }
-  state.SetItemsProcessed(packets);
-}
-BENCHMARK(BM_PreprocessorLegacyMap)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_PreprocessorBatch(benchmark::State& state) {
   // The switch output-port path: one pre-processing pass over a burst

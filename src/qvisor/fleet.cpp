@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
+#include <numeric>
 
 namespace qv::qvisor {
 
@@ -100,33 +100,22 @@ Hypervisor::CompileResult Fleet::compile_for(
   // partial failure rolls every already-committed switch back to its
   // last-known-good plan, so the fleet never runs mixed epochs.
   const std::uint64_t epoch = ++epoch_counter_;
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    Member& member = switches_[i];
-    member.hv->set_policy(policy_);
-    for (const auto& spec : tenants_) member.hv->upsert_tenant(spec);
-    const auto deployed = member.hv->commit_for(active_names, epoch);
-    if (deployed.ok) continue;
-
-    ++failed_installs_;
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "install:failed", ts,
-                  /*tid=*/0, "switch", i);
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (switches_[j].hv->rollback()) {
-        ++rollbacks_;
-        if (obs::Tracer* tr = runtime_tracer()) {
-          tr->instant(obs::TraceCategory::kRuntime, "rollback", ts,
-                      /*tid=*/0, "switch", j);
-        }
-      }
-      // A switch whose rollback push is ALSO rejected stays dirty at
-      // the aborted epoch; reconcile() heals it when it recovers.
-    }
+  std::string install_error;
+  const auto rejected = install_cohort(
+      every_switch(),
+      [&](Member& member) {
+        member.hv->set_policy(policy_);
+        for (const auto& spec : tenants_) member.hv->upsert_tenant(spec);
+        auto deployed = member.hv->commit_for(active_names, epoch);
+        install_error = std::move(deployed.error);
+        return deployed.ok;
+      },
+      "install:failed", ts);
+  if (rejected) {
     Hypervisor::CompileResult failed;
-    failed.error = "install failed on switch '" + member.name +
+    failed.error = "install failed on switch '" + switches_[*rejected].name +
                    "' at epoch " + std::to_string(epoch) + ": " +
-                   deployed.error + " (fleet rolled back to epoch " +
+                   install_error + " (fleet rolled back to epoch " +
                    std::to_string(committed_epoch_) + ")";
     return failed;
   }
@@ -156,30 +145,17 @@ bool Fleet::commit_group_plan(
   // The group compiler already validated the band layout (phase 1);
   // this is the fleet-wide phase-2 commit at one epoch.
   const std::uint64_t epoch = ++epoch_counter_;
-  for (std::size_t i = 0; i < switches_.size(); ++i) {
-    Member& member = switches_[i];
-    if (member.hv->commit_group_plan(plan, epoch, delta)) continue;
-
-    ++failed_installs_;
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "install:failed", ts,
-                  /*tid=*/0, "switch", i);
-    }
-    for (std::size_t j = 0; j < i; ++j) {
-      if (switches_[j].hv->rollback()) {
-        ++rollbacks_;
-        if (obs::Tracer* tr = runtime_tracer()) {
-          tr->instant(obs::TraceCategory::kRuntime, "rollback", ts,
-                      /*tid=*/0, "switch", j);
-        }
-      }
-      // A switch whose rollback push is ALSO rejected stays dirty at
-      // the aborted epoch; reconcile() heals it when it recovers.
-    }
+  const auto rejected = install_cohort(
+      every_switch(),
+      [&](Member& member) {
+        return member.hv->commit_group_plan(plan, epoch, delta);
+      },
+      "install:failed", ts);
+  if (rejected) {
     if (error != nullptr) {
-      *error = "group install failed on switch '" + member.name +
-               "' at epoch " + std::to_string(epoch) +
-               " (fleet rolled back to epoch " +
+      *error = "group install failed on switch '" +
+               switches_[*rejected].name + "' at epoch " +
+               std::to_string(epoch) + " (fleet rolled back to epoch " +
                std::to_string(committed_epoch_) + ")";
     }
     return false;
@@ -228,39 +204,30 @@ bool Fleet::commit_staged_to(const std::vector<std::size_t>& cohort,
   }
   const control::GroupPlanDelta* delta =
       staged_delta_.has_value() ? &*staged_delta_ : nullptr;
-  std::vector<std::size_t> fresh;  // committed by THIS call
+  // Already at the staged epoch (earlier wave, or the part of a failed
+  // wave a retry re-covers): skip, so retries are idempotent. Per-wave
+  // two-phase: a rejection undoes only this wave's fresh commits;
+  // switches from earlier waves keep the staged epoch (the rollout
+  // engine decides whether to retry the wave or abort the rollout).
+  std::vector<std::size_t> pending;
   for (std::size_t idx : cohort) {
-    Member& member = switches_[idx];
-    // Already at the staged epoch (earlier wave, or the part of a
-    // failed wave a retry re-covers): skip, so retries are idempotent.
-    if (member.hv->plan_epoch() == staged_epoch_) continue;
-    if (member.hv->commit_group_plan(staged_group_, staged_epoch_, delta)) {
-      fresh.push_back(idx);
-      continue;
+    if (switches_[idx].hv->plan_epoch() != staged_epoch_ &&
+        std::find(pending.begin(), pending.end(), idx) == pending.end()) {
+      pending.push_back(idx);
     }
-    ++failed_installs_;
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "wave:install_failed", ts,
-                  /*tid=*/0, "switch", idx);
-    }
-    // Per-wave two-phase: undo this wave's fresh commits; switches from
-    // earlier waves keep the staged epoch (the rollout engine decides
-    // whether to retry the wave or abort the whole rollout).
-    for (std::size_t j : fresh) {
-      if (switches_[j].hv->rollback()) {
-        ++rollbacks_;
-        if (obs::Tracer* tr = runtime_tracer()) {
-          tr->instant(obs::TraceCategory::kRuntime, "rollback", ts,
-                      /*tid=*/0, "switch", j);
-        }
-      }
-      // A rejected rollback push leaves the switch dirty at the staged
-      // epoch; abort_staged()/reconcile() heal it later.
-    }
+  }
+  const auto rejected = install_cohort(
+      pending,
+      [&](Member& member) {
+        return member.hv->commit_group_plan(staged_group_, staged_epoch_,
+                                            delta);
+      },
+      "wave:install_failed", ts);
+  if (rejected) {
     if (error != nullptr) {
-      *error = "staged install failed on switch '" + member.name +
-               "' at epoch " + std::to_string(staged_epoch_) +
-               " (wave rolled back)";
+      *error = "staged install failed on switch '" +
+               switches_[*rejected].name + "' at epoch " +
+               std::to_string(staged_epoch_) + " (wave rolled back)";
     }
     return false;
   }
@@ -334,11 +301,7 @@ std::size_t Fleet::reconcile(TimeNs now) {
   std::size_t healed = 0;
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     Member& member = switches_[i];
-    const bool consistent =
-        (committed_group_ != nullptr ? member.hv->has_group_plan()
-                                     : member.hv->has_plan()) &&
-        member.hv->plan_epoch() == committed_epoch_;
-    if (consistent) continue;
+    if (runs_committed(member)) continue;
     if (committed_group_ != nullptr) {
       // Group mode: the shared compiled plan IS the configuration —
       // re-push it whole (no delta: the dirty switch's state is stale).
@@ -364,16 +327,53 @@ std::size_t Fleet::reconcile(TimeNs now) {
 }
 
 bool Fleet::epochs_consistent() const {
-  if (committed_epoch_ == 0) return true;
-  for (const auto& member : switches_) {
-    const bool installed = committed_group_ != nullptr
-                               ? member.hv->has_group_plan()
-                               : member.hv->has_plan();
-    if (!installed || member.hv->plan_epoch() != committed_epoch_) {
-      return false;
+  return committed_epoch_ == 0 ||
+         std::all_of(switches_.begin(), switches_.end(),
+                     [this](const Member& m) { return runs_committed(m); });
+}
+
+std::vector<std::size_t> Fleet::every_switch() const {
+  std::vector<std::size_t> all(switches_.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+bool Fleet::runs_committed(const Member& member) const {
+  const bool installed = committed_group_ != nullptr
+                             ? member.hv->has_group_plan()
+                             : member.hv->has_plan();
+  return installed && member.hv->plan_epoch() == committed_epoch_;
+}
+
+std::optional<std::size_t> Fleet::install_cohort(
+    const std::vector<std::size_t>& cohort,
+    const std::function<bool(Member&)>& install, const char* failed_instant,
+    TimeNs ts) {
+  std::vector<std::size_t> fresh;  // committed by THIS call
+  for (std::size_t idx : cohort) {
+    if (install(switches_[idx])) {
+      fresh.push_back(idx);
+      continue;
     }
+    ++failed_installs_;
+    if (obs::Tracer* tr = runtime_tracer()) {
+      tr->instant(obs::TraceCategory::kRuntime, failed_instant, ts,
+                  /*tid=*/0, "switch", idx);
+    }
+    for (std::size_t j : fresh) {
+      if (switches_[j].hv->rollback()) {
+        ++rollbacks_;
+        if (obs::Tracer* tr = runtime_tracer()) {
+          tr->instant(obs::TraceCategory::kRuntime, "rollback", ts,
+                      /*tid=*/0, "switch", j);
+        }
+      }
+      // A switch whose rollback push is ALSO rejected stays dirty;
+      // reconcile() (or abort_staged()) heals it when it recovers.
+    }
+    return idx;
   }
-  return true;
+  return std::nullopt;
 }
 
 std::unique_ptr<sched::Scheduler> Fleet::make_port_scheduler(

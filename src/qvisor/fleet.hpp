@@ -11,6 +11,7 @@
 // the network.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -195,6 +196,18 @@ class Fleet {
   }
   /// Re-wire member hv install-fault hooks from the fleet-level hook.
   void wire_install_fault(std::size_t switch_index);
+  /// The all-or-nothing rule every fleet commit shares: `install` each
+  /// switch of `cohort` in order; at the first rejection count it,
+  /// trace `failed_instant`, and roll back the switches this call
+  /// committed. Returns the rejecting switch, or nullopt when the whole
+  /// cohort committed.
+  std::optional<std::size_t> install_cohort(
+      const std::vector<std::size_t>& cohort,
+      const std::function<bool(Member&)>& install,
+      const char* failed_instant, TimeNs ts);
+  std::vector<std::size_t> every_switch() const;
+  /// The switch runs the committed configuration at the committed epoch.
+  bool runs_committed(const Member& member) const;
 
   std::vector<TenantSpec> tenants_;
   OperatorPolicy policy_;

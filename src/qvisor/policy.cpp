@@ -1,8 +1,9 @@
 #include "qvisor/policy.hpp"
 
-#include <cctype>
 #include <set>
 #include <sstream>
+
+#include "qvisor/policy_ast.hpp"
 
 namespace qv::qvisor {
 
@@ -82,126 +83,22 @@ bool operator==(const OperatorPolicy& a, const OperatorPolicy& b) {
   return true;
 }
 
-namespace {
-
-struct Lexer {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool eof() {
-    skip_ws();
-    return pos >= text.size();
-  }
-
-  /// Token kinds: ">>", ">", "+", identifier, or error (empty string).
-  std::string next() {
-    skip_ws();
-    if (pos >= text.size()) return "";
-    const char c = text[pos];
-    if (c == '>') {
-      if (pos + 1 < text.size() && text[pos + 1] == '>') {
-        pos += 2;
-        return ">>";
-      }
-      ++pos;
-      return ">";
-    }
-    if (c == '+') {
-      ++pos;
-      return "+";
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const std::size_t start = pos;
-      while (pos < text.size()) {
-        const char d = text[pos];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_' ||
-            d == '-') {
-          ++pos;
-        } else {
-          break;
-        }
-      }
-      return text.substr(start, pos - start);
-    }
-    return "";  // unexpected character
-  }
-
-  std::string peek() {
-    const std::size_t saved = pos;
-    std::string tok = next();
-    pos = saved;
-    return tok;
-  }
-};
-
-bool is_operator(const std::string& tok) {
-  return tok == ">>" || tok == ">" || tok == "+";
-}
-
-PolicyParseResult fail(std::string message, std::size_t pos) {
-  PolicyParseResult r;
-  r.error = std::move(message);
-  r.error_pos = pos;
-  return r;
-}
-
-}  // namespace
-
 PolicyParseResult parse_policy(const std::string& text) {
-  Lexer lex{text};
-  if (lex.eof()) return fail("empty policy", 0);
-
-  std::vector<PriorityTier> tiers;
-  PriorityTier tier;
-  SharingGroup group;
-  std::set<std::string> seen;
-
-  // The grammar alternates identifier, operator, identifier, ... so we
-  // consume an identifier, then decide from the following operator
-  // whether to extend the group, start a new group, or start a new tier.
-  while (true) {
-    const std::size_t id_pos = lex.pos;
-    const std::string ident = lex.next();
-    if (ident.empty() || is_operator(ident)) {
-      return fail("expected tenant name", id_pos);
-    }
-    if (!seen.insert(ident).second) {
-      return fail("tenant '" + ident + "' appears more than once", id_pos);
-    }
-    group.tenants.push_back(ident);
-
-    if (lex.eof()) break;
-    const std::size_t op_pos = lex.pos;
-    const std::string op = lex.next();
-    if (op == "+") {
-      continue;  // same group
-    }
-    if (op == ">") {
-      tier.groups.push_back(std::move(group));
-      group = SharingGroup{};
-      continue;
-    }
-    if (op == ">>") {
-      tier.groups.push_back(std::move(group));
-      tiers.push_back(std::move(tier));
-      group = SharingGroup{};
-      tier = PriorityTier{};
-      continue;
-    }
-    return fail("expected '>>', '>' or '+' after tenant", op_pos);
-  }
-  tier.groups.push_back(std::move(group));
-  tiers.push_back(std::move(tier));
-
+  // One grammar: the flat language is the subset of the expression
+  // grammar that to_flat_policy maps back onto tiers and groups.
+  ExprParseResult parsed = parse_policy_expr(text);
   PolicyParseResult r;
-  r.policy = OperatorPolicy(std::move(tiers));
+  if (!parsed.ok()) {
+    r.error = std::move(parsed.error);
+    r.error_pos = parsed.error_pos;
+    return r;
+  }
+  r.policy = to_flat_policy(*parsed.expr);
+  if (!r.policy) {
+    r.error =
+        "nested or weighted expression: the flat policy language cannot "
+        "express it";
+  }
   return r;
 }
 

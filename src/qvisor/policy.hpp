@@ -69,7 +69,11 @@ struct PolicyParseResult {
 
 /// Parse the `>>` / `>` / `+` language. Tenant names are
 /// [A-Za-z_][A-Za-z0-9_-]*; whitespace is free. Duplicate tenant names
-/// are rejected (a tenant cannot appear in two places).
+/// are rejected (a tenant cannot appear in two places). This is
+/// parse_policy_expr (policy_ast.hpp) followed by to_flat_policy:
+/// redundant parentheses are accepted, and a nested or weighted
+/// expression fails with an error saying the flat language cannot
+/// express it.
 PolicyParseResult parse_policy(const std::string& text);
 
 }  // namespace qv::qvisor

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+#include <vector>
+
+#include "obs/trace.hpp"
 #include "qvisor/backend.hpp"
 
 namespace qv::control {
@@ -234,6 +239,59 @@ TEST_F(ControlPlaneTest, AbortStagedRestoresLastKnownGoodFleetWide) {
   }
   // The staged plan never became the reconcile target.
   EXPECT_EQ(fleet_.reconcile(), 0u);
+}
+
+TEST_F(ControlPlaneTest, RejectedGroupAndWaveInstallsTraceTheirRollbacks) {
+  obs::Tracer tracer(1024);
+  tracer.set_mask(obs::kTraceAll);
+  fleet_.set_tracer(&tracer);
+  ASSERT_TRUE(cp_.deploy_text(kBase).ok);
+  const auto rejects_switch_2 = [](std::size_t idx, std::uint64_t) {
+    return idx == 2;
+  };
+
+  // A fleet-wide group deploy rejected on switch 2 rolls back 0 and 1.
+  fleet_.set_install_fault(rejects_switch_2);
+  EXPECT_FALSE(cp_.deploy_text("group gold   = 0..9 weight 2 bounds 0..99\n"
+                               "group silver = 10..19 bounds 0..99\n"
+                               "group bulk   = * bounds 0..99\n"
+                               "policy gold >> silver + bulk\n",
+                               microseconds(5))
+                   .ok);
+
+  // A staged wave {1, 2} after a canary on 0: only switch 1 is fresh
+  // in the failed wave, so only it rolls back.
+  fleet_.set_install_fault({});
+  const auto staged = cp_.stage_text(
+      "group gold   = 0..9 weight 3 bounds 0..99\n"
+      "group silver = 10..19 bounds 0..99\n"
+      "group bulk   = * bounds 0..99\n"
+      "policy gold >> silver + bulk\n");
+  ASSERT_TRUE(staged.ok) << staged.error;
+  std::string err;
+  ASSERT_TRUE(cp_.commit_wave({0}, microseconds(6), &err)) << err;
+  fleet_.set_install_fault(rejects_switch_2);
+  EXPECT_FALSE(cp_.commit_wave({1, 2}, microseconds(7), &err));
+
+  using Instant = std::tuple<std::string, TimeNs, std::uint64_t>;
+  std::vector<Instant> seen;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.ph != 'i' || e.arg_name == nullptr ||
+        std::strcmp(e.arg_name, "switch") != 0) {
+      continue;
+    }
+    seen.emplace_back(e.name, e.ts, e.arg);
+  }
+  const std::vector<Instant> expected = {
+      {"install:failed", microseconds(5), 2},
+      {"rollback", microseconds(5), 0},
+      {"rollback", microseconds(5), 1},
+      {"wave:install_failed", microseconds(7), 2},
+      {"rollback", microseconds(7), 1},
+  };
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(fleet_.failed_installs(), 2u);
+  EXPECT_EQ(fleet_.rollbacks(), 3u);
 }
 
 TEST_F(ControlPlaneTest, ReconcileHealsARebootedSwitchToTheGroupPlan) {

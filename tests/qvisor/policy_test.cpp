@@ -90,6 +90,24 @@ TEST(PolicyParser, ErrorPositionPointsAtProblem) {
   EXPECT_GE(r.error_pos, 3u);
 }
 
+TEST(PolicyParser, NestedOrWeightedExpressionFails) {
+  for (const char* text : {"(A >> B) + C", "A * 2 + B"}) {
+    const auto r = parse_policy(text);
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error.find("flat policy language cannot express"),
+              std::string::npos)
+        << text << ": " << r.error;
+  }
+}
+
+TEST(PolicyParser, RedundantParenthesesParseFlat) {
+  const auto bracketed = parse_policy("(A) >> B");
+  const auto plain = parse_policy("A >> B");
+  ASSERT_TRUE(bracketed.ok()) << bracketed.error;
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  EXPECT_EQ(*bracketed.policy, *plain.policy);
+}
+
 TEST(Policy, TenantNamesInPolicyOrder) {
   auto r = parse_policy("B >> A + C > D");
   ASSERT_TRUE(r.ok());
