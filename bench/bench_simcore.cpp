@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "experiments/fig4.hpp"
 #include "experiments/sweeps.hpp"
@@ -45,12 +46,16 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   if (flags.help_requested()) return 0;
 
-  Fig4Scheme scheme;
-  if (!parse_fig4_scheme(flags.get_string("scheme"), &scheme)) {
-    std::fprintf(stderr, "bench_simcore: unknown scheme '%s'\n",
+  const std::vector<Fig4Scheme> schemes = fig4_all_schemes();
+  std::vector<std::size_t> picked;
+  if (!parse_axis(flags.get_string("scheme"),
+                  slugs(schemes, fig4_scheme_slug), &picked) ||
+      picked.size() != 1) {
+    std::fprintf(stderr, "bench_simcore: --scheme takes one slug, got '%s'\n",
                  flags.get_string("scheme").c_str());
     return 1;
   }
+  const Fig4Scheme scheme = schemes[picked.front()];
   const bool per_event = flags.get_bool("per-event");
 
   Fig4Config cfg = fig4_scaled_config();

@@ -1,12 +1,9 @@
 #include "experiments/dataplane_chaos.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
-#include "exec/sweep.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
 #include "util/random.hpp"
@@ -14,15 +11,6 @@
 namespace qv::experiments {
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  char buf[512];
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
-}
 
 /// Flatten a run's books into one global-port-ordered vector so two
 /// runs compare with a single operator== sweep.
@@ -123,17 +111,6 @@ const char* dataplane_fault_kind_slug(DataplaneFaultKind k) {
     case DataplaneFaultKind::kRandom: return "random";
   }
   return "unknown";
-}
-
-bool parse_dataplane_fault_kind(const std::string& name,
-                                DataplaneFaultKind* out) {
-  for (const DataplaneFaultKind k : dataplane_all_fault_kinds()) {
-    if (name == dataplane_fault_kind_slug(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<DataplaneFaultKind> dataplane_all_fault_kinds() {
@@ -304,106 +281,80 @@ void write_dataplane_chaos_trace(const std::string& path,
   out << "\n";
 }
 
-std::vector<DataplaneChaosCell> run_dataplane_chaos_sweep(
+std::vector<SweepCell> run_dataplane_chaos_sweep(
     const DataplaneChaosSweepConfig& sweep) {
-  const std::size_t cells = sweep.kinds.size() * sweep.seeds.size();
-  auto outs = exec::run_sweep<DataplaneChaosCell>(
-      cells,
-      [&sweep](std::size_t i) {
-        const DataplaneFaultKind kind = sweep.kinds[i / sweep.seeds.size()];
-        const std::uint64_t seed = sweep.seeds[i % sweep.seeds.size()];
-        DataplaneChaosCell cell;
-        cell.stem = sweep.out_dir + "/dpchaos_" +
-                    dataplane_fault_kind_slug(kind);
-        if (sweep.seeds.size() > 1) {
-          cell.stem += "_s" + std::to_string(seed);
-        }
+  const GridSpec spec{.experiment = "dpchaos",
+                      .stem = "dpchaos",
+                      .axis_key = "kind",
+                      .axis = slugs(sweep.kinds, dataplane_fault_kind_slug),
+                      .seeds = sweep.seeds,
+                      .out_dir = sweep.out_dir,
+                      .jobs = sweep.jobs};
+  return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::JsonWriter& row) {
+    DataplaneChaosConfig config = sweep.base;
+    config.kind = sweep.kinds[p.axis];
+    config.seed = p.seed;
+    const DataplaneChaosResult r =
+        run_dataplane_chaos(config, cell.stem + "_metrics.json");
+    write_dataplane_chaos_trace(cell.stem + "_trace.json", r);
+    cell.ok = r.ok;
 
-        DataplaneChaosConfig config = sweep.base;
-        config.kind = kind;
-        config.seed = seed;
-        cell.result = run_dataplane_chaos(config, cell.stem + "_metrics.json");
-        write_dataplane_chaos_trace(cell.stem + "_trace.json", cell.result);
-        cell.ok = cell.result.ok;
+    std::string& s = cell.summary;
+    appendf(s, "dpchaos %s (seed %llu)\n",
+            dataplane_fault_kind_slug(config.kind),
+            static_cast<unsigned long long>(p.seed));
+    appendf(s,
+            "  generated %llu = processed %llu + quarantined %llu + "
+            "lost %llu (balanced: %s)\n",
+            static_cast<unsigned long long>(r.generated),
+            static_cast<unsigned long long>(r.processed),
+            static_cast<unsigned long long>(r.quarantined),
+            static_cast<unsigned long long>(r.lost_in_flight),
+            r.balanced ? "yes" : "NO");
+    appendf(s,
+            "  restores %llu (stall %llu, crash %llu, poison %llu, "
+            "desync %llu), watchdog detects %llu, checkpoints %llu\n",
+            static_cast<unsigned long long>(r.restores),
+            static_cast<unsigned long long>(r.stalls),
+            static_cast<unsigned long long>(r.crashes),
+            static_cast<unsigned long long>(r.poison_faults),
+            static_cast<unsigned long long>(r.desyncs),
+            static_cast<unsigned long long>(r.watchdog_detects),
+            static_cast<unsigned long long>(r.checkpoints));
+    appendf(s,
+            "  fault-free identical: %s, replay identical: %s, loss "
+            "%llu/%llu per recovery (bounded: %s), slowest restore "
+            "%.3f ms (bounded: %s), activity: %s\n",
+            r.faultfree_identical ? "yes" : "NO",
+            r.replay_identical ? "yes" : "NO",
+            static_cast<unsigned long long>(r.max_lost_per_recovery),
+            static_cast<unsigned long long>(r.loss_bound),
+            r.loss_bounded ? "yes" : "NO",
+            static_cast<double>(r.max_restore_ns) / 1e6,
+            r.recovery_bounded ? "yes" : "NO",
+            r.activity_seen ? "yes" : "NO");
+    appendf(s, "  artifacts: %s_{metrics.json,trace.json}\n",
+            cell.stem.c_str());
 
-        const DataplaneChaosResult& r = cell.result;
-        std::string& s = cell.summary;
-        appendf(s, "dpchaos %s (seed %llu)\n", dataplane_fault_kind_slug(kind),
-                static_cast<unsigned long long>(seed));
-        appendf(s,
-                "  generated %llu = processed %llu + quarantined %llu + "
-                "lost %llu (balanced: %s)\n",
-                static_cast<unsigned long long>(r.generated),
-                static_cast<unsigned long long>(r.processed),
-                static_cast<unsigned long long>(r.quarantined),
-                static_cast<unsigned long long>(r.lost_in_flight),
-                r.balanced ? "yes" : "NO");
-        appendf(s,
-                "  restores %llu (stall %llu, crash %llu, poison %llu, "
-                "desync %llu), watchdog detects %llu, checkpoints %llu\n",
-                static_cast<unsigned long long>(r.restores),
-                static_cast<unsigned long long>(r.stalls),
-                static_cast<unsigned long long>(r.crashes),
-                static_cast<unsigned long long>(r.poison_faults),
-                static_cast<unsigned long long>(r.desyncs),
-                static_cast<unsigned long long>(r.watchdog_detects),
-                static_cast<unsigned long long>(r.checkpoints));
-        appendf(s,
-                "  fault-free identical: %s, replay identical: %s, loss "
-                "%llu/%llu per recovery (bounded: %s), slowest restore "
-                "%.3f ms (bounded: %s), activity: %s\n",
-                r.faultfree_identical ? "yes" : "NO",
-                r.replay_identical ? "yes" : "NO",
-                static_cast<unsigned long long>(r.max_lost_per_recovery),
-                static_cast<unsigned long long>(r.loss_bound),
-                r.loss_bounded ? "yes" : "NO",
-                static_cast<double>(r.max_restore_ns) / 1e6,
-                r.recovery_bounded ? "yes" : "NO",
-                r.activity_seen ? "yes" : "NO");
-        appendf(s, "  artifacts: %s_{metrics.json,trace.json}\n",
-                cell.stem.c_str());
-        return cell;
-      },
-      {sweep.jobs});
-
-  std::ofstream summary(sweep.out_dir + "/dpchaos_summary.json");
-  if (!summary) {
-    throw std::runtime_error("cannot write " + sweep.out_dir +
-                             "/dpchaos_summary.json");
-  }
-  obs::JsonWriter w(summary);
-  w.begin_object();
-  w.key("experiment").value("dpchaos");
-  w.key("grid").begin_array();
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const DataplaneChaosResult& r = outs[i].result;
-    w.begin_object();
-    w.key("kind").value(
-        dataplane_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
-    w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
-    w.key("generated").value(r.generated);
-    w.key("processed").value(r.processed);
-    w.key("quarantined").value(r.quarantined);
-    w.key("lost_in_flight").value(r.lost_in_flight);
-    w.key("checkpoints").value(r.checkpoints);
-    w.key("restores").value(r.restores);
-    w.key("watchdog_detects").value(r.watchdog_detects);
-    w.key("recoveries").value(r.recovery_count);
-    w.key("max_lost_per_recovery").value(r.max_lost_per_recovery);
-    w.key("loss_bound").value(r.loss_bound);
-    w.key("balanced").value(r.balanced);
-    w.key("faultfree_identical").value(r.faultfree_identical);
-    w.key("replay_identical").value(r.replay_identical);
-    w.key("loss_bounded").value(r.loss_bounded);
-    w.key("recovery_bounded").value(r.recovery_bounded);
-    w.key("activity_seen").value(r.activity_seen);
-    w.key("ok").value(outs[i].ok);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  summary << "\n";
-  return outs;
+    row.key("generated").value(r.generated);
+    row.key("processed").value(r.processed);
+    row.key("quarantined").value(r.quarantined);
+    row.key("lost_in_flight").value(r.lost_in_flight);
+    row.key("checkpoints").value(r.checkpoints);
+    row.key("restores").value(r.restores);
+    row.key("watchdog_detects").value(r.watchdog_detects);
+    row.key("recoveries").value(r.recovery_count);
+    row.key("max_lost_per_recovery").value(r.max_lost_per_recovery);
+    row.key("loss_bound").value(r.loss_bound);
+    row.key("balanced").value(r.balanced);
+    row.key("faultfree_identical").value(r.faultfree_identical);
+    row.key("replay_identical").value(r.replay_identical);
+    row.key("loss_bounded").value(r.loss_bounded);
+    row.key("recovery_bounded").value(r.recovery_bounded);
+    row.key("activity_seen").value(r.activity_seen);
+    row.key("ok").value(r.ok);
+  });
 }
 
 }  // namespace qv::experiments

@@ -22,8 +22,8 @@
 // Each cell writes <stem>_metrics.json (the dataplane + supervisor
 // registries) and <stem>_trace.json (a Perfetto/Chrome trace-event
 // timeline of the recovery episodes: one span per checkpoint restore,
-// one instant per quarantine verdict). The CLI mirrors `chaos`:
-// seeds fan across cores and the summary is reduced in grid order.
+// one instant per quarantine verdict). The sweep is a cell run of the
+// one grid runner (experiments/grid.hpp), like every other experiment.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
+#include "experiments/grid.hpp"
 #include "util/time.hpp"
 
 namespace qv::experiments {
@@ -38,8 +39,6 @@ namespace qv::experiments {
 enum class DataplaneFaultKind { kStall, kCrash, kPoison, kDesync, kRandom };
 
 const char* dataplane_fault_kind_slug(DataplaneFaultKind k);
-bool parse_dataplane_fault_kind(const std::string& name,
-                                DataplaneFaultKind* out);
 std::vector<DataplaneFaultKind> dataplane_all_fault_kinds();
 
 /// The small supervised dataplane shape every chaos cell runs: 2 shards
@@ -117,20 +116,19 @@ struct DataplaneChaosSweepConfig {
   std::size_t jobs = 0;  ///< 0 = hardware_concurrency, 1 = serial
 };
 
-/// One completed cell (mirrors SweepCell; kept local so the dataplane
-/// harness does not drag the netsim experiment headers in).
-struct DataplaneChaosCell {
-  std::string stem;
-  std::string summary;
-  bool ok = true;
-  DataplaneChaosResult result;
-};
-
 /// Fan the grid across cores, write per-cell artifacts plus
 /// dpchaos_summary.json, and return the cells in grid order (kinds
-/// outer, seeds inner). Every artifact except the wall-clock fields is
-/// byte-identical for every --jobs value.
-std::vector<DataplaneChaosCell> run_dataplane_chaos_sweep(
+/// outer, seeds inner). Every verdict is the same for every --jobs
+/// value, and so is the whole summary row of a stall, crash or poison
+/// cell. The artifacts carry run-dependent fields: trace.json's
+/// timestamps and durations, and in metrics.json `pps`,
+/// `wall_seconds`, `checkpoint_ns`, `recovery_ns` and `detect_ns`
+/// (wall clock) and `empty_polls`, `full_spins` and `ring_occupancy`
+/// (thread timing). A drain recovery (desync, random) loses whatever
+/// was in flight when it hit, so those cells' books and summary counts
+/// (`processed`, `lost_in_flight`, `checkpoints`,
+/// `max_lost_per_recovery`) vary from run to run as well.
+std::vector<SweepCell> run_dataplane_chaos_sweep(
     const DataplaneChaosSweepConfig& sweep);
 
 }  // namespace qv::experiments

@@ -14,75 +14,25 @@
 // fault-domain contract fails (unbalanced books, supervision overhead
 // on the fault-free path, unbounded loss, slow recovery, or a fault
 // kind that never fired), so CI runs the matrix as ONE invocation.
-#include <cstdio>
-#include <string>
-
 #include "experiments/dataplane_chaos.hpp"
-#include "experiments/sweeps.hpp"
-#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
-  qv::Flags flags;
-  flags.define_int("seed", 1, "dataplane + fault-schedule RNG seed");
-  flags.define_string("seeds", "", "comma-separated seed list (grid axis); "
-                      "overrides --seed");
-  flags.define_string("kinds", "",
-                      "comma-separated fault kinds "
-                      "(stall,crash,poison,desync,random); default all");
-  flags.define_string("out", ".", "output directory for run artifacts");
-  flags.define_int("jobs", 0,
-                   "parallel cells (0 = hardware concurrency, 1 = serial)");
-  flags.define_int("packets", 0,
-                   "packets per port (0 = harness default)");
-  if (!flags.parse(argc, argv)) return 1;
-  if (flags.help_requested()) return 0;
+  using namespace qv::experiments;
+  GridCli cli("dataplane_chaos", "dataplane + fault-schedule RNG seed");
+  cli.axis("kinds", "",
+           "comma-separated fault kinds "
+           "(stall,crash,poison,desync,random) or all; default all",
+           slugs(dataplane_all_fault_kinds(), dataplane_fault_kind_slug));
+  cli.flags().define_int("packets", 0,
+                         "packets per port (0 = harness default)");
+  if (!cli.parse(argc, argv)) return cli.status();
 
-  qv::experiments::DataplaneChaosSweepConfig sweep;
-  if (!flags.get_string("seeds").empty()) {
-    bool ok = false;
-    sweep.seeds =
-        qv::experiments::parse_u64_list(flags.get_string("seeds"), &ok);
-    if (!ok) {
-      std::fprintf(stderr, "dataplane_chaos: bad --seeds '%s'\n",
-                   flags.get_string("seeds").c_str());
-      return 1;
-    }
-  } else {
-    sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
-  }
-  if (!flags.get_string("kinds").empty()) {
-    sweep.kinds.clear();
-    std::string csv = flags.get_string("kinds");
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-      const std::size_t comma = std::min(csv.find(',', pos), csv.size());
-      const std::string name = csv.substr(pos, comma - pos);
-      qv::experiments::DataplaneFaultKind kind;
-      if (!qv::experiments::parse_dataplane_fault_kind(name, &kind)) {
-        std::fprintf(stderr, "dataplane_chaos: bad fault kind '%s'\n",
-                     name.c_str());
-        return 1;
-      }
-      sweep.kinds.push_back(kind);
-      pos = comma + 1;
-    }
-  }
-  sweep.out_dir = flags.get_string("out");
-  sweep.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
-  if (flags.get_int("packets") > 0) {
+  DataplaneChaosSweepConfig sweep;
+  sweep.kinds = cli.pick(dataplane_all_fault_kinds());
+  if (cli.flags().get_int("packets") > 0) {
     sweep.base.base.packets_per_port =
-        static_cast<std::uint64_t>(flags.get_int("packets"));
+        static_cast<std::uint64_t>(cli.flags().get_int("packets"));
   }
-
-  const auto cells = qv::experiments::run_dataplane_chaos_sweep(sweep);
-  bool all_ok = true;
-  for (const auto& cell : cells) {
-    std::fputs(cell.summary.c_str(), stdout);
-    if (!cell.ok) {
-      std::fprintf(stderr, "dataplane_chaos: CONTRACT VIOLATED (%s)\n",
-                   cell.stem.c_str());
-      all_ok = false;
-    }
-  }
-  return all_ok ? 0 : 1;
+  cli.apply(sweep);
+  return cli.report(run_dataplane_chaos_sweep(sweep), "CONTRACT VIOLATED");
 }

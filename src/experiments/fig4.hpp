@@ -1,8 +1,9 @@
 // The paper's evaluation (§4, Fig. 4): two tenants on a leaf-spine
 // fabric — a data-mining workload scheduled with pFabric and a set of
 // CBR flows scheduled with EDF — under six scheduling configurations.
-// This runner reproduces one (scheme, load) point; the bench harness
-// sweeps the grid and prints the two series (small flows / big flows).
+// This runner reproduces one (scheme, load) point; the fig4 binary
+// sweeps the grid (run_fig4_sweep) and bench/fig_tables.py prints the
+// two series (small flows / big flows) from its fig4_summary.json.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +90,8 @@ struct Fig4Config {
 };
 
 /// A scaled-down configuration (16 hosts, truncated tail) that keeps
-/// the full sweep under ~2 minutes; set env QVISOR_FIG4_FULL=1 in the
-/// bench to use the paper-scale topology instead.
+/// the full sweep under ~2 minutes; `fig4 --paper-topo` runs
+/// fig4_paper_config() instead.
 Fig4Config fig4_scaled_config();
 
 /// The paper-scale configuration (144 hosts, full tail).

@@ -1,14 +1,12 @@
 #include "experiments/rollout_chaos.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 
-#include "exec/sweep.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
 #include "qvisor/backend.hpp"
@@ -17,15 +15,6 @@
 namespace qv::experiments {
 
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  char buf[512];
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
-}
 
 /// The random kind resolves to one concrete behaviour per seed, so a
 /// failing random cell replays from its summary line alone.
@@ -120,17 +109,6 @@ const char* rollout_fault_kind_slug(RolloutFaultKind k) {
     case RolloutFaultKind::kRandom: return "random";
   }
   return "unknown";
-}
-
-bool parse_rollout_fault_kind(const std::string& name,
-                              RolloutFaultKind* out) {
-  for (const RolloutFaultKind k : rollout_all_fault_kinds()) {
-    if (name == rollout_fault_kind_slug(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<RolloutFaultKind> rollout_all_fault_kinds() {
@@ -353,122 +331,90 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
   return out;
 }
 
-std::vector<RolloutChaosCell> run_rollout_chaos_sweep(
+std::vector<SweepCell> run_rollout_chaos_sweep(
     const RolloutChaosSweepConfig& sweep) {
-  const std::size_t cells = sweep.kinds.size() * sweep.seeds.size();
-  auto outs = exec::run_sweep<RolloutChaosCell>(
-      cells,
-      [&sweep](std::size_t i) {
-        const RolloutFaultKind kind = sweep.kinds[i / sweep.seeds.size()];
-        const std::uint64_t seed = sweep.seeds[i % sweep.seeds.size()];
-        RolloutChaosCell cell;
-        cell.stem =
-            sweep.out_dir + "/rollout_" + rollout_fault_kind_slug(kind);
-        if (sweep.seeds.size() > 1) {
-          cell.stem += "_s" + std::to_string(seed);
-        }
+  const GridSpec spec{.experiment = "rollout_chaos",
+                      .stem = "rollout",
+                      .axis_key = "kind",
+                      .axis = slugs(sweep.kinds, rollout_fault_kind_slug),
+                      .seeds = sweep.seeds,
+                      .out_dir = sweep.out_dir,
+                      .jobs = sweep.jobs};
+  return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::JsonWriter& row) {
+    RolloutChaosConfig config = sweep.base;
+    config.kind = sweep.kinds[p.axis];
+    config.seed = p.seed;
+    config.store_dir = cell.stem + "_store";
+    const RolloutChaosResult r = run_rollout_chaos(
+        config, cell.stem + "_metrics.json", cell.stem + "_trace.json");
+    cell.ok = r.ok;
 
-        RolloutChaosConfig config = sweep.base;
-        config.kind = kind;
-        config.seed = seed;
-        config.store_dir = cell.stem + "_store";
-        cell.result = run_rollout_chaos(config, cell.stem + "_metrics.json",
-                                        cell.stem + "_trace.json");
-        cell.ok = cell.result.ok;
-
-        const RolloutChaosResult& r = cell.result;
-        const mgmt::RolloutReport& rep = r.report;
-        std::string& s = cell.summary;
-        appendf(s, "rollout %s (seed %llu)\n", rollout_fault_kind_slug(kind),
-                static_cast<unsigned long long>(seed));
-        appendf(s,
-                "  v%llu -> v%llu: %s after %zu waves, %zu probes, "
-                "%zu switches touched (expected %s: %s)\n",
-                static_cast<unsigned long long>(r.baseline_version),
-                static_cast<unsigned long long>(r.candidate_version),
-                rep.outcome == mgmt::RolloutOutcome::kCommitted
-                    ? "COMMITTED"
-                    : rep.outcome == mgmt::RolloutOutcome::kAborted
-                          ? "ABORTED"
-                          : "REJECTED",
-                rep.waves.size(), rep.probes.size(), rep.switches_touched,
-                r.expected_commit ? "commit" : "abort",
-                r.outcome_as_expected ? "yes" : "NO");
-        if (!rep.abort_reason.empty()) {
-          appendf(s, "  abort reason: %s\n", rep.abort_reason.c_str());
-        }
-        appendf(s,
-                "  single-version: %s (fleet digest %016llx, expected plan "
-                "fp %016llx, %zu reconcile passes), canary-gated: %s\n",
-                r.single_version ? "yes" : "NO",
-                static_cast<unsigned long long>(rep.fleet_fingerprint),
-                static_cast<unsigned long long>(rep.expected_fingerprint),
-                rep.reconcile_passes, r.canary_gated ? "yes" : "NO");
-        appendf(s,
-                "  lkg pointer v%llu (correct: %s), store recovery "
-                "identical: %s, epoch-mismatch packets %llu (zero: %s), "
-                "install rejects %llu, activity: %s\n",
-                static_cast<unsigned long long>(r.final_lkg),
-                r.lkg_pointer_correct ? "yes" : "NO",
-                r.store_recovery_identical ? "yes" : "NO",
-                static_cast<unsigned long long>(rep.epoch_mismatch_packets),
-                r.zero_epoch_mismatches ? "yes" : "NO",
-                static_cast<unsigned long long>(r.install_rejections),
-                r.activity_seen ? "yes" : "NO");
-        appendf(s, "  artifacts: %s_{metrics.json,trace.json,store/}\n",
-                cell.stem.c_str());
-        return cell;
-      },
-      {sweep.jobs});
-
-  std::ofstream summary(sweep.out_dir + "/rollout_chaos_summary.json");
-  if (!summary) {
-    throw std::runtime_error("cannot write " + sweep.out_dir +
-                             "/rollout_chaos_summary.json");
-  }
-  obs::JsonWriter w(summary);
-  w.begin_object();
-  w.key("experiment").value("rollout_chaos");
-  w.key("grid").begin_array();
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const RolloutChaosResult& r = outs[i].result;
     const mgmt::RolloutReport& rep = r.report;
-    w.begin_object();
-    w.key("kind").value(
-        rollout_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
-    w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
-    w.key("outcome").value(
-        rep.outcome == mgmt::RolloutOutcome::kCommitted
-            ? "committed"
-            : rep.outcome == mgmt::RolloutOutcome::kAborted ? "aborted"
-                                                            : "rejected");
-    w.key("baseline_version").value(r.baseline_version);
-    w.key("candidate_version").value(r.candidate_version);
-    w.key("final_lkg").value(r.final_lkg);
-    w.key("store_versions").value(r.store_versions);
-    w.key("waves").value(static_cast<std::uint64_t>(rep.waves.size()));
-    w.key("probes").value(static_cast<std::uint64_t>(rep.probes.size()));
-    w.key("switches_touched")
+    const char* outcome =
+        rep.outcome == mgmt::RolloutOutcome::kCommitted ? "committed"
+        : rep.outcome == mgmt::RolloutOutcome::kAborted ? "aborted"
+                                                        : "rejected";
+    std::string upper = outcome;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    std::string& s = cell.summary;
+    appendf(s, "rollout %s (seed %llu)\n", rollout_fault_kind_slug(config.kind),
+            static_cast<unsigned long long>(p.seed));
+    appendf(s,
+            "  v%llu -> v%llu: %s after %zu waves, %zu probes, "
+            "%zu switches touched (expected %s: %s)\n",
+            static_cast<unsigned long long>(r.baseline_version),
+            static_cast<unsigned long long>(r.candidate_version),
+            upper.c_str(), rep.waves.size(), rep.probes.size(),
+            rep.switches_touched, r.expected_commit ? "commit" : "abort",
+            r.outcome_as_expected ? "yes" : "NO");
+    if (!rep.abort_reason.empty()) {
+      appendf(s, "  abort reason: %s\n", rep.abort_reason.c_str());
+    }
+    appendf(s,
+            "  single-version: %s (fleet digest %016llx, expected plan "
+            "fp %016llx, %zu reconcile passes), canary-gated: %s\n",
+            r.single_version ? "yes" : "NO",
+            static_cast<unsigned long long>(rep.fleet_fingerprint),
+            static_cast<unsigned long long>(rep.expected_fingerprint),
+            rep.reconcile_passes, r.canary_gated ? "yes" : "NO");
+    appendf(s,
+            "  lkg pointer v%llu (correct: %s), store recovery "
+            "identical: %s, epoch-mismatch packets %llu (zero: %s), "
+            "install rejects %llu, activity: %s\n",
+            static_cast<unsigned long long>(r.final_lkg),
+            r.lkg_pointer_correct ? "yes" : "NO",
+            r.store_recovery_identical ? "yes" : "NO",
+            static_cast<unsigned long long>(rep.epoch_mismatch_packets),
+            r.zero_epoch_mismatches ? "yes" : "NO",
+            static_cast<unsigned long long>(r.install_rejections),
+            r.activity_seen ? "yes" : "NO");
+    appendf(s, "  artifacts: %s_{metrics.json,trace.json,store/}\n",
+            cell.stem.c_str());
+
+    row.key("outcome").value(outcome);
+    row.key("baseline_version").value(r.baseline_version);
+    row.key("candidate_version").value(r.candidate_version);
+    row.key("final_lkg").value(r.final_lkg);
+    row.key("store_versions").value(r.store_versions);
+    row.key("waves").value(static_cast<std::uint64_t>(rep.waves.size()));
+    row.key("probes").value(static_cast<std::uint64_t>(rep.probes.size()));
+    row.key("switches_touched")
         .value(static_cast<std::uint64_t>(rep.switches_touched));
-    w.key("reconcile_passes")
+    row.key("reconcile_passes")
         .value(static_cast<std::uint64_t>(rep.reconcile_passes));
-    w.key("install_rejections").value(r.install_rejections);
-    w.key("epoch_mismatch_packets").value(rep.epoch_mismatch_packets);
-    w.key("expected_commit").value(r.expected_commit);
-    w.key("outcome_as_expected").value(r.outcome_as_expected);
-    w.key("single_version").value(r.single_version);
-    w.key("canary_gated").value(r.canary_gated);
-    w.key("lkg_pointer_correct").value(r.lkg_pointer_correct);
-    w.key("store_recovery_identical").value(r.store_recovery_identical);
-    w.key("zero_epoch_mismatches").value(r.zero_epoch_mismatches);
-    w.key("activity_seen").value(r.activity_seen);
-    w.key("ok").value(outs[i].ok);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  summary << "\n";
-  return outs;
+    row.key("install_rejections").value(r.install_rejections);
+    row.key("epoch_mismatch_packets").value(rep.epoch_mismatch_packets);
+    row.key("expected_commit").value(r.expected_commit);
+    row.key("outcome_as_expected").value(r.outcome_as_expected);
+    row.key("single_version").value(r.single_version);
+    row.key("canary_gated").value(r.canary_gated);
+    row.key("lkg_pointer_correct").value(r.lkg_pointer_correct);
+    row.key("store_recovery_identical").value(r.store_recovery_identical);
+    row.key("zero_epoch_mismatches").value(r.zero_epoch_mismatches);
+    row.key("activity_seen").value(r.activity_seen);
+    row.key("ok").value(r.ok);
+  });
 }
 
 }  // namespace qv::experiments

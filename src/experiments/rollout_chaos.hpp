@@ -22,15 +22,17 @@
 // Each cell writes <stem>_metrics.json (fleet + control-plane + store
 // registries) and <stem>_trace.json (mgmt/runtime trace of waves,
 // probes, aborts and reconciles), plus its config store directory
-// <stem>_store/. The CLI mirrors `dataplane_chaos`: cells fan across
-// cores, the summary reduces in grid order, and the process exits
-// non-zero when any cell violates the contract.
+// <stem>_store/. The sweep is a cell run of the one grid runner
+// (experiments/grid.hpp): cells fan across cores, the summary reduces
+// in grid order, and the CLI exits non-zero when any cell violates the
+// contract.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "experiments/grid.hpp"
 #include "mgmt/rollout.hpp"
 
 namespace qv::experiments {
@@ -44,7 +46,6 @@ enum class RolloutFaultKind {
 };
 
 const char* rollout_fault_kind_slug(RolloutFaultKind k);
-bool parse_rollout_fault_kind(const std::string& name, RolloutFaultKind* out);
 std::vector<RolloutFaultKind> rollout_all_fault_kinds();
 
 struct RolloutChaosConfig {
@@ -97,17 +98,10 @@ struct RolloutChaosSweepConfig {
   std::size_t jobs = 0;  ///< 0 = hardware_concurrency, 1 = serial
 };
 
-struct RolloutChaosCell {
-  std::string stem;
-  std::string summary;
-  bool ok = true;
-  RolloutChaosResult result;
-};
-
 /// Fan the grid across cores, write per-cell artifacts plus
 /// rollout_chaos_summary.json, and return the cells in grid order
 /// (kinds outer, seeds inner).
-std::vector<RolloutChaosCell> run_rollout_chaos_sweep(
+std::vector<SweepCell> run_rollout_chaos_sweep(
     const RolloutChaosSweepConfig& sweep);
 
 }  // namespace qv::experiments

@@ -14,13 +14,9 @@ const char* adversary_mode_name(AdversaryMode mode) {
   return "?";
 }
 
-bool parse_adversary_mode(const std::string& name, AdversaryMode* out) {
-  if (name == "flooder") *out = AdversaryMode::kFlooder;
-  else if (name == "gamer") *out = AdversaryMode::kRankGamer;
-  else if (name == "churn") *out = AdversaryMode::kTenantChurn;
-  else if (name == "herd") *out = AdversaryMode::kBurstHerd;
-  else return false;
-  return true;
+std::vector<AdversaryMode> adversary_all_modes() {
+  return {AdversaryMode::kFlooder, AdversaryMode::kRankGamer,
+          AdversaryMode::kTenantChurn, AdversaryMode::kBurstHerd};
 }
 
 AdversarySource::AdversarySource(netsim::Simulator& sim, netsim::Host& host,

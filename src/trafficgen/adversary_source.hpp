@@ -20,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "netsim/node.hpp"
 #include "netsim/simulator.hpp"
@@ -37,9 +37,8 @@ enum class AdversaryMode {
 };
 
 const char* adversary_mode_name(AdversaryMode mode);
-/// Parse a CLI mode name ("flooder", "gamer", "churn", "herd");
-/// false on unknown names.
-bool parse_adversary_mode(const std::string& name, AdversaryMode* out);
+/// Every mode, in declaration order (the overload grid's `--mode all`).
+std::vector<AdversaryMode> adversary_all_modes();
 
 struct AdversaryConfig {
   AdversaryMode mode = AdversaryMode::kFlooder;

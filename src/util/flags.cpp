@@ -1,10 +1,45 @@
 #include "util/flags.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace qv {
+
+namespace {
+
+/// Run one std::sto* parse and insist it consumed the whole token.
+template <typename T, typename Parse>
+bool parse_whole(const std::string& token, T* out, Parse parse) {
+  try {
+    std::size_t used = 0;
+    const T v = parse(token, &used);
+    if (used != token.size()) return false;
+    *out = v;
+    return true;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+}  // namespace
+
+bool parse_int(const std::string& token, std::int64_t* out) {
+  return parse_whole(token, out, [](const std::string& s, std::size_t* used) {
+    return static_cast<std::int64_t>(std::stoll(s, used));
+  });
+}
+
+bool parse_u64(const std::string& token, std::uint64_t* out) {
+  return parse_whole(token, out, [](const std::string& s, std::size_t* used) {
+    return static_cast<std::uint64_t>(std::stoull(s, used));
+  });
+}
+
+bool parse_double(const std::string& token, double* out) {
+  return parse_whole(token, out, [](const std::string& s, std::size_t* used) {
+    return std::stod(s, used);
+  });
+}
 
 void Flags::define_int(const std::string& name, std::int64_t default_value,
                        const std::string& help) {
@@ -12,6 +47,7 @@ void Flags::define_int(const std::string& name, std::int64_t default_value,
   d.type = Type::kInt;
   d.help = help;
   d.int_value = default_value;
+  d.default_text = std::to_string(default_value);
   defs_[name] = std::move(d);
 }
 
@@ -21,6 +57,7 @@ void Flags::define_double(const std::string& name, double default_value,
   d.type = Type::kDouble;
   d.help = help;
   d.double_value = default_value;
+  d.default_text = std::to_string(default_value);
   defs_[name] = std::move(d);
 }
 
@@ -31,6 +68,7 @@ void Flags::define_string(const std::string& name,
   d.type = Type::kString;
   d.help = help;
   d.string_value = default_value;
+  d.default_text = default_value;
   defs_[name] = std::move(d);
 }
 
@@ -40,6 +78,7 @@ void Flags::define_bool(const std::string& name, bool default_value,
   d.type = Type::kBool;
   d.help = help;
   d.bool_value = default_value;
+  d.default_text = default_value ? "true" : "false";
   defs_[name] = std::move(d);
 }
 
@@ -50,62 +89,48 @@ bool Flags::set_value(const std::string& name, const std::string& value) {
     return false;
   }
   Def& d = it->second;
-  try {
-    switch (d.type) {
-      case Type::kInt:
-        d.int_value = std::stoll(value);
-        break;
-      case Type::kDouble:
-        d.double_value = std::stod(value);
-        break;
-      case Type::kString:
-        d.string_value = value;
-        break;
-      case Type::kBool:
-        if (value == "true" || value == "1") {
-          d.bool_value = true;
-        } else if (value == "false" || value == "0") {
-          d.bool_value = false;
-        } else {
-          std::fprintf(stderr, "bad boolean for --%s: %s\n", name.c_str(),
-                       value.c_str());
-          return false;
-        }
-        break;
-    }
-  } catch (const std::exception&) {
+  bool ok = true;
+  switch (d.type) {
+    case Type::kInt:
+      ok = parse_int(value, &d.int_value);
+      break;
+    case Type::kDouble:
+      ok = parse_double(value, &d.double_value);
+      break;
+    case Type::kString:
+      d.string_value = value;
+      break;
+    case Type::kBool:
+      if (value == "true" || value == "1") {
+        d.bool_value = true;
+      } else if (value == "false" || value == "0") {
+        d.bool_value = false;
+      } else {
+        std::fprintf(stderr, "bad boolean for --%s: %s\n", name.c_str(),
+                     value.c_str());
+        return false;
+      }
+      break;
+  }
+  if (!ok) {
     std::fprintf(stderr, "bad value for --%s: %s\n", name.c_str(),
                  value.c_str());
-    return false;
   }
-  return true;
+  return ok;
 }
 
 void Flags::print_usage(const char* prog) const {
   std::fprintf(stderr, "usage: %s [flags]\n", prog);
   for (const auto& [name, d] : defs_) {
     const char* type = "";
-    std::string def;
     switch (d.type) {
-      case Type::kInt:
-        type = "int";
-        def = std::to_string(d.int_value);
-        break;
-      case Type::kDouble:
-        type = "double";
-        def = std::to_string(d.double_value);
-        break;
-      case Type::kString:
-        type = "string";
-        def = d.string_value;
-        break;
-      case Type::kBool:
-        type = "bool";
-        def = d.bool_value ? "true" : "false";
-        break;
+      case Type::kInt: type = "int"; break;
+      case Type::kDouble: type = "double"; break;
+      case Type::kString: type = "string"; break;
+      case Type::kBool: type = "bool"; break;
     }
     std::fprintf(stderr, "  --%s (%s, default %s)\n      %s\n", name.c_str(),
-                 type, def.c_str(), d.help.c_str());
+                 type, d.default_text.c_str(), d.help.c_str());
   }
 }
 

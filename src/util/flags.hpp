@@ -4,7 +4,8 @@
 // boolean `--name` / `--no-name` / `--name=value`. Unknown flags and
 // stray arguments are errors so typos do not silently run the default
 // experiment: `--fused false` is rejected rather than read as `--fused`
-// plus a dropped `false`.
+// plus a dropped `false`. Numeric values must be whole tokens:
+// `--jobs 2x` is rejected rather than read as `--jobs 2`.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,13 @@
 #include <string>
 
 namespace qv {
+
+/// Whole-token numeric parses with std::stoll / stoull / stod syntax:
+/// false on an empty token, trailing characters or overflow. Flags and
+/// the experiment grid's list parsers share them.
+bool parse_int(const std::string& token, std::int64_t* out);
+bool parse_u64(const std::string& token, std::uint64_t* out);
+bool parse_double(const std::string& token, double* out);
 
 class Flags {
  public:
@@ -45,6 +53,7 @@ class Flags {
   struct Def {
     Type type;
     std::string help;
+    std::string default_text;  ///< the declared default, for --help
     std::int64_t int_value = 0;
     double double_value = 0.0;
     std::string string_value;

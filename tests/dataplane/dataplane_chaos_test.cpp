@@ -6,7 +6,14 @@
 // shortened stream so the whole grid stays in unit-test time.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "experiments/dataplane_chaos.hpp"
+#include "mgmt/json.hpp"
 
 namespace qv::experiments {
 namespace {
@@ -42,6 +49,67 @@ TEST(DataplaneChaosHarness, EveryFaultKindRecoversAcrossSeeds) {
           << cell;
     }
   }
+}
+
+/// The summary rows' kind, seed and verdict fields: the part of
+/// dpchaos_summary.json that no thread timing can move.
+std::vector<std::string> summary_verdicts(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const mgmt::JsonParseResult doc = mgmt::parse_json(text.str());
+  EXPECT_TRUE(doc.ok()) << path << ": " << doc.error;
+  if (!doc.ok()) return {};
+  EXPECT_EQ(doc.value->find("experiment")->as_string(), "dpchaos");
+  std::vector<std::string> rows;
+  for (const mgmt::JsonValue& row : doc.value->find("grid")->as_array()) {
+    std::string r = row.find("kind")->as_string() + " s" +
+                    std::to_string(row.find("seed")->as_int());
+    for (const char* verdict :
+         {"balanced", "faultfree_identical", "replay_identical",
+          "loss_bounded", "recovery_bounded", "activity_seen", "ok"}) {
+      r += std::string(" ") + verdict + "=" +
+           (row.find(verdict)->as_bool() ? "1" : "0");
+    }
+    rows.push_back(r);
+  }
+  return rows;
+}
+
+TEST(DataplaneChaosHarness, SweepWritesArtifactsAndSummary) {
+  std::vector<std::vector<std::string>> verdicts;
+  for (const std::size_t jobs : {1u, 2u}) {
+    const std::filesystem::path root =
+        std::filesystem::path(::testing::TempDir()) /
+        ("qv_dpchaos_sweep_j" + std::to_string(jobs));
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root);
+
+    DataplaneChaosSweepConfig sweep;
+    sweep.base.base.packets_per_port = 2000;
+    sweep.kinds = {DataplaneFaultKind::kCrash, DataplaneFaultKind::kPoison};
+    sweep.seeds = {7};
+    sweep.out_dir = root.string();
+    sweep.jobs = jobs;
+    const auto cells = run_dataplane_chaos_sweep(sweep);
+
+    // Grid order: kinds outer; one seed, so no _s suffix.
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(cells[0].stem, (root / "dpchaos_crash").string());
+    EXPECT_EQ(cells[1].stem, (root / "dpchaos_poison").string());
+    for (const auto& cell : cells) {
+      EXPECT_TRUE(cell.ok) << cell.summary;
+      EXPECT_EQ(cell.summary.rfind("dpchaos ", 0), 0u) << cell.summary;
+      EXPECT_TRUE(std::filesystem::exists(cell.stem + "_metrics.json"));
+      EXPECT_TRUE(std::filesystem::exists(cell.stem + "_trace.json"));
+    }
+    verdicts.push_back(
+        summary_verdicts((root / "dpchaos_summary.json").string()));
+    ASSERT_EQ(verdicts.back().size(), cells.size());
+    EXPECT_EQ(verdicts.back()[0].rfind("crash s7 ", 0), 0u);
+    std::filesystem::remove_all(root);
+  }
+  EXPECT_EQ(verdicts[0], verdicts[1]);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace qv {
@@ -112,6 +113,63 @@ TEST(Flags, HelpRequested) {
   Argv a({"prog", "--help"});
   ASSERT_TRUE(f.parse(a.argc(), a.argv()));
   EXPECT_TRUE(f.help_requested());
+}
+
+TEST(Flags, TrailingCharactersRejected) {
+  // std::stoll / std::stod stop at the first bad character; a flag
+  // value must be the whole token, in both the = and the space form.
+  const std::vector<std::vector<std::string>> bad = {
+      {"prog", "--jobs=2x"},
+      {"prog", "--jobs", "2x"},
+      {"prog", "--load=0.3abc"},
+      {"prog", "--load", "0.3 "},
+  };
+  for (const auto& args : bad) {
+    Flags f;
+    f.define_int("jobs", 0, "");
+    f.define_double("load", 0.5, "");
+    Argv a(args);
+    EXPECT_FALSE(f.parse(a.argc(), a.argv())) << args.back();
+    EXPECT_EQ(f.get_int("jobs"), 0) << args.back();
+    EXPECT_DOUBLE_EQ(f.get_double("load"), 0.5) << args.back();
+  }
+}
+
+TEST(Flags, StrictNumericParses) {
+  std::int64_t i = 0;
+  EXPECT_TRUE(parse_int("-3", &i));
+  EXPECT_EQ(i, -3);
+  EXPECT_FALSE(parse_int("", &i));
+  EXPECT_FALSE(parse_int("7 ", &i));
+  EXPECT_FALSE(parse_int("99999999999999999999", &i));
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_u64("1337", &u));
+  EXPECT_EQ(u, 1337u);
+  EXPECT_FALSE(parse_u64("13x", &u));
+  double d = 0;
+  EXPECT_TRUE(parse_double("0.25", &d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  EXPECT_FALSE(parse_double("0.25.", &d));
+  EXPECT_FALSE(parse_double("abc", &d));
+}
+
+TEST(Flags, HelpPrintsTheDeclaredDefault) {
+  // --help after a set flag documents the default, not the value the
+  // command line already assigned.
+  Flags f;
+  f.define_int("jobs", 0, "parallel cells");
+  f.define_double("load", 0.5, "a load");
+  Argv a({"prog", "--jobs", "-3", "--load=0.9", "--help"});
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(f.parse(a.argc(), a.argv()));
+  const std::string usage = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(f.help_requested());
+  EXPECT_NE(usage.find("--jobs (int, default 0)"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("--load (double, default 0.500000)"),
+            std::string::npos)
+      << usage;
+  EXPECT_EQ(usage.find("-3"), std::string::npos) << usage;
 }
 
 }  // namespace
