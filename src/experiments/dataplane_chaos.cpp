@@ -1,8 +1,6 @@
 #include "experiments/dataplane_chaos.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
@@ -100,6 +98,43 @@ bool is_replay_kind(DataplaneFaultKind kind) {
          kind == DataplaneFaultKind::kCrash;
 }
 
+/// The recovery episodes on the `dataplane` category (see the header),
+/// in wall-clock (steady-clock) ns rebased so the first fault is t=0.
+void trace_recoveries(const DataplaneChaosResult& r, obs::Tracer& tracer) {
+  std::int64_t base_ns = 0;
+  for (const auto& rec : r.recoveries) {
+    if (base_ns == 0 || rec.start_ns < base_ns) base_ns = rec.start_ns;
+  }
+  for (const auto& rec : r.recoveries) {
+    const auto lane = static_cast<std::uint32_t>(rec.shard);
+    tracer.set_thread_name(lane, "shard" + std::to_string(rec.shard));
+    tracer.complete(obs::TraceCategory::kDataplane,
+                    tracer.intern(std::string("recover:") +
+                                  dataplane::recovery_cause_name(rec.cause)),
+                    rec.start_ns - base_ns, rec.restore_ns, lane,
+                    {{"at_burst", rec.at_burst},
+                     {"lost", rec.lost},
+                     {"drained", rec.drained ? 1u : 0u}});
+  }
+  for (const auto& q : r.quarantine) {
+    // The verdict lands at the end of that shard's LAST poison restore
+    // (the restore that tipped the packet over quarantine_after).
+    TimeNs ts = 0;
+    for (const auto& rec : r.recoveries) {
+      if (rec.shard == q.shard &&
+          rec.cause == dataplane::RecoveryRecord::Cause::kPoison) {
+        ts = rec.start_ns - base_ns + rec.restore_ns;
+      }
+    }
+    tracer.instant(obs::TraceCategory::kDataplane, "quarantine", ts,
+                   static_cast<std::uint32_t>(q.shard),
+                   {{"port", q.port},
+                    {"seq", q.seq},
+                    {"tenant", q.tenant},
+                    {"faults", static_cast<std::uint64_t>(q.faults)}});
+  }
+}
+
 }  // namespace
 
 const char* dataplane_fault_kind_slug(DataplaneFaultKind k) {
@@ -136,8 +171,7 @@ dataplane::DataplaneConfig dataplane_chaos_base() {
   return config;
 }
 
-DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config,
-                                         const std::string& metrics_path) {
+DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config) {
   // Reference runs: the unsupervised baseline and the supervised
   // fault-free pipeline must produce byte-identical books.
   dataplane::DataplaneConfig plain = config.base;
@@ -197,88 +231,13 @@ DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config,
   out.ok = out.balanced && out.faultfree_identical && out.replay_identical &&
            out.loss_bounded && out.recovery_bounded && out.activity_seen;
 
-  if (!metrics_path.empty()) {
-    obs::Registry reg;
-    chaotic.export_metrics(reg);
-    obs::save_metrics_json(metrics_path, reg);
+  if (config.obs != nullptr) {
+    chaotic.export_metrics(config.obs->registry);
+    if (config.obs->tracer.enabled(obs::TraceCategory::kDataplane)) {
+      trace_recoveries(out, config.obs->tracer);
+    }
   }
   return out;
-}
-
-void write_dataplane_chaos_trace(const std::string& path,
-                                 const DataplaneChaosResult& result) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  std::int64_t base_ns = 0;
-  for (const auto& rec : result.recoveries) {
-    if (base_ns == 0 || rec.start_ns < base_ns) base_ns = rec.start_ns;
-  }
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  // Track names: one row per shard that recovered.
-  std::vector<std::size_t> shards;
-  for (const auto& rec : result.recoveries) shards.push_back(rec.shard);
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  for (const std::size_t s : shards) {
-    w.begin_object();
-    w.key("ph").value("M");
-    w.key("name").value("thread_name");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(s));
-    w.key("args").begin_object();
-    w.key("name").value("shard" + std::to_string(s));
-    w.end_object();
-    w.end_object();
-  }
-  for (const auto& rec : result.recoveries) {
-    w.begin_object();
-    w.key("ph").value("X");
-    w.key("name").value(std::string("recover:") +
-                        dataplane::recovery_cause_name(rec.cause));
-    w.key("cat").value("dataplane");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(rec.shard));
-    w.key("ts").value(static_cast<double>(rec.start_ns - base_ns) / 1e3);
-    w.key("dur").value(static_cast<double>(rec.restore_ns) / 1e3);
-    w.key("args").begin_object();
-    w.key("at_burst").value(rec.at_burst);
-    w.key("lost").value(rec.lost);
-    w.key("drained").value(rec.drained);
-    w.end_object();
-    w.end_object();
-  }
-  for (const auto& q : result.quarantine) {
-    // The verdict lands at the end of that shard's LAST poison restore
-    // (the restore that tipped the packet over quarantine_after).
-    double ts = 0.0;
-    for (const auto& rec : result.recoveries) {
-      if (rec.shard == q.shard &&
-          rec.cause == dataplane::RecoveryRecord::Cause::kPoison) {
-        ts = static_cast<double>(rec.start_ns - base_ns + rec.restore_ns) /
-             1e3;
-      }
-    }
-    w.begin_object();
-    w.key("ph").value("i");
-    w.key("s").value("t");
-    w.key("name").value("quarantine");
-    w.key("cat").value("dataplane");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(q.shard));
-    w.key("ts").value(ts);
-    w.key("args").begin_object();
-    w.key("port").value(static_cast<std::uint64_t>(q.port));
-    w.key("seq").value(q.seq);
-    w.key("tenant").value(static_cast<std::int64_t>(q.tenant));
-    w.key("faults").value(q.faults);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << "\n";
 }
 
 std::vector<SweepCell> run_dataplane_chaos_sweep(
@@ -291,13 +250,13 @@ std::vector<SweepCell> run_dataplane_chaos_sweep(
                       .out_dir = sweep.out_dir,
                       .jobs = sweep.jobs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
     DataplaneChaosConfig config = sweep.base;
     config.kind = sweep.kinds[p.axis];
     config.seed = p.seed;
-    const DataplaneChaosResult r =
-        run_dataplane_chaos(config, cell.stem + "_metrics.json");
-    write_dataplane_chaos_trace(cell.stem + "_trace.json", r);
+    config.obs = &obs;
+    const DataplaneChaosResult r = run_dataplane_chaos(config);
     cell.ok = r.ok;
 
     std::string& s = cell.summary;

@@ -19,11 +19,12 @@
 //      within the configured recovery budget, and a stalled worker is
 //      detected by the watchdog (not by the run hanging).
 //
-// Each cell writes <stem>_metrics.json (the dataplane + supervisor
-// registries) and <stem>_trace.json (a Perfetto/Chrome trace-event
-// timeline of the recovery episodes: one span per checkpoint restore,
-// one instant per quarantine verdict). The sweep is a cell run of the
-// one grid runner (experiments/grid.hpp), like every other experiment.
+// The sweep is a cell run of the one grid runner (experiments/grid.hpp).
+// The runner writes <stem>_metrics.json (the faulted run's dataplane +
+// supervisor registry) and <stem>_trace.json: on a shard<i> lane, one
+// recover:<cause> span per checkpoint restore (args at_burst, lost,
+// drained) and one quarantine instant per isolated packet (args port,
+// seq, tenant, faults), in wall-clock time from the first fault.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,10 @@ struct DataplaneChaosConfig {
   /// copy a few KB of per-port state, but sanitizer presets tax every
   /// access and the drain handshake waits out a producer burst.
   std::int64_t max_recovery_ns = 2'000'000'000;
+
+  /// Optional instrumentation (not owned): the faulted run's registry
+  /// is exported into it and its recovery episodes are traced.
+  obs::Observability* obs = nullptr;
 };
 
 struct DataplaneChaosResult {
@@ -91,25 +96,13 @@ struct DataplaneChaosResult {
 };
 
 /// Run one cell: unsupervised baseline, supervised fault-free, then the
-/// faulted run, and evaluate the contracts. When `metrics_path` is
-/// non-empty the faulted run's registry (books, stage histograms,
-/// supervisor counters) is saved there before the run state is torn
-/// down.
-DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config,
-                                         const std::string& metrics_path = "");
-
-/// Serialize the cell's recovery episodes as a Chrome/Perfetto
-/// trace-event JSON ({"traceEvents": [...]}): one complete ("X") span
-/// per checkpoint restore on the faulting shard's track, one instant
-/// per quarantine verdict. Timestamps are rebased so the first fault
-/// lands at t=0.
-void write_dataplane_chaos_trace(const std::string& path,
-                                 const DataplaneChaosResult& result);
+/// faulted run, and evaluate the contracts.
+DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config);
 
 // --- sweep: kinds x seeds -------------------------------------------------
 
 struct DataplaneChaosSweepConfig {
-  DataplaneChaosConfig base;  ///< kind/seed overridden per cell
+  DataplaneChaosConfig base;  ///< kind/seed/obs overridden per cell
   std::vector<DataplaneFaultKind> kinds = dataplane_all_fault_kinds();
   std::vector<std::uint64_t> seeds = {1};
   std::string out_dir = ".";
@@ -119,15 +112,18 @@ struct DataplaneChaosSweepConfig {
 /// Fan the grid across cores, write per-cell artifacts plus
 /// dpchaos_summary.json, and return the cells in grid order (kinds
 /// outer, seeds inner). Every verdict is the same for every --jobs
-/// value, and so is the whole summary row of a stall, crash or poison
-/// cell. The artifacts carry run-dependent fields: trace.json's
-/// timestamps and durations, and in metrics.json `pps`,
+/// value, and so is the summary row of a stall, crash or poison cell
+/// bar `watchdog_detects`, which also counts a worker descheduled or
+/// idle past the heartbeat deadline (a harmless detect, see
+/// dataplane/supervisor.hpp). The artifacts carry run-dependent
+/// fields: trace.json's `ts` and `dur`, and in metrics.json `pps`,
 /// `wall_seconds`, `checkpoint_ns`, `recovery_ns` and `detect_ns`
-/// (wall clock) and `empty_polls`, `full_spins` and `ring_occupancy`
-/// (thread timing). A drain recovery (desync, random) loses whatever
-/// was in flight when it hit, so those cells' books and summary counts
-/// (`processed`, `lost_in_flight`, `checkpoints`,
-/// `max_lost_per_recovery`) vary from run to run as well.
+/// (wall clock) and `empty_polls`, `full_spins`, `ring_occupancy` and
+/// `watchdog_detects` (thread timing). A drain recovery (desync,
+/// random) loses whatever was in flight when it hit, so those cells'
+/// books and summary counts (`processed`, `lost_in_flight`,
+/// `checkpoints`, `max_lost_per_recovery`) vary from run to run as
+/// well.
 std::vector<SweepCell> run_dataplane_chaos_sweep(
     const DataplaneChaosSweepConfig& sweep);
 

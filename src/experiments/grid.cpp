@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -10,6 +11,7 @@
 
 #include "exec/sweep.hpp"
 #include "obs/json_writer.hpp"
+#include "obs/obs.hpp"
 #include "util/logging.hpp"
 
 namespace qv::experiments {
@@ -30,6 +32,12 @@ bool parse_list(const std::string& csv, Parse one, std::vector<T>* out) {
     if (comma == csv.size()) return true;
     pos = comma + 1;
   }
+}
+
+std::uint32_t trace_mask(const SweepObsOptions& opts) {
+  if (!opts.trace) return 0;
+  const std::uint32_t sim = obs::trace_bit(obs::TraceCategory::kSim);
+  return opts.trace_sim ? obs::kTraceAll : obs::kTraceAll & ~sim;
 }
 
 }  // namespace
@@ -74,6 +82,10 @@ std::vector<SweepCell> run_grid(const GridSpec& spec, const GridCellRun& run) {
         }
         if (seeds > 1) stem += "_s" + std::to_string(point.seed);
 
+        obs::Observability bundle(spec.obs.trace_capacity);
+        bundle.sample_interval = microseconds(spec.obs.sample_interval_us);
+        bundle.tracer.set_mask(trace_mask(spec.obs));
+
         ScopedLogCapture capture(&out.cell.log);
         std::ostringstream row;
         obs::JsonWriter w(row);
@@ -81,9 +93,11 @@ std::vector<SweepCell> run_grid(const GridSpec& spec, const GridCellRun& run) {
         if (has_axis) w.key(spec.axis_key).value(spec.axis[point.axis]);
         if (!spec.loads.empty()) w.key("load").value(point.load);
         w.key("seed").value(point.seed);
-        run(point, out.cell, w);
+        run(point, out.cell, bundle, w);
         w.end_object();
         out.row = row.str();
+        obs::save_metrics_json(stem + "_metrics.json", bundle.registry);
+        obs::save_trace_json(stem + "_trace.json", bundle.tracer);
         return out;
       },
       {spec.jobs});
@@ -132,7 +146,8 @@ GridCli::GridCli(std::string prog, const std::string& seed_help)
   flags_.define_string("seeds", "",
                        "comma-separated seed list (grid axis); overrides "
                        "--seed");
-  flags_.define_string("out", ".", "output directory for run artifacts");
+  flags_.define_string("out", ".",
+                       "output directory for run artifacts (must exist)");
   flags_.define_int("jobs", 0,
                     "parallel cells (0 = hardware concurrency, 1 = serial)");
 }
@@ -173,6 +188,12 @@ bool GridCli::fail(const std::string& message) const {
 
 bool GridCli::parse(int argc, char** argv) {
   if (!flags_.parse(argc, argv) || flags_.help_requested()) return false;
+
+  const std::string& out = flags_.get_string("out");
+  std::error_code ec;
+  if (!std::filesystem::is_directory(out, ec)) {
+    return fail("--out '" + out + "' is not a directory");
+  }
 
   const std::int64_t jobs = flags_.get_int("jobs");
   if (jobs < 0) {

@@ -9,6 +9,10 @@
 //  * the artifact stem rule —
 //    <out_dir>/<stem>[_<slug>][_l<load%>][_s<seed>], where the load and
 //    seed suffixes appear only when that axis has more than one value;
+//  * each cell's observability bundle — built from GridSpec::obs with
+//    one mask rule (every trace category but `sim`; `sim` too under
+//    trace_sim; none without trace), written after the cell returns as
+//    <stem>_metrics.json then <stem>_trace.json (neither if it throws);
 //  * log capture — each cell's QV_LOG records land in its SweepCell
 //    instead of stderr, so concurrent cells never interleave;
 //  * the --jobs contract — cells fan across exec::run_sweep and come
@@ -18,9 +22,11 @@
 //    one row per cell in grid order, each row opening with the cell's
 //    axis values and seed.
 //
-// An experiment supplies only its cell run: it writes the cell's
-// artifacts under the stem, its stdout block into SweepCell::summary,
-// its verdict into SweepCell::ok, and the rest of its summary row.
+// An experiment supplies only its cell run: it records into the bundle
+// (freeze()ing the registry before what its views read dies), writes
+// any artifact of its own (flows.csv, a config store), its stdout block
+// into SweepCell::summary, its verdict into SweepCell::ok, and the rest
+// of its summary row.
 //
 // The front (GridCli) declares and validates the flags every grid
 // binary shares — --seed/--seeds, --out, --jobs, the first axis, fig4's
@@ -38,6 +44,7 @@
 
 namespace qv::obs {
 class JsonWriter;
+struct Observability;
 }
 
 namespace qv::experiments {
@@ -50,8 +57,9 @@ struct SweepCell {
   bool ok = true;       ///< the experiment's run-level verdict
 };
 
-/// Observability shape shared by every cell of a simulated sweep
-/// (fig2, fig4, chaos, overload).
+/// The observability shape of every cell of a grid. fig2, fig4, chaos
+/// and overload take it from the command line; dataplane_chaos and
+/// rollout_chaos run with the defaults.
 struct SweepObsOptions {
   bool trace = true;
   bool trace_sim = false;  ///< fig2/fig4: also trace simulator dispatch
@@ -81,16 +89,20 @@ struct GridSpec {
   std::vector<std::uint64_t> seeds;
   std::string out_dir;
   std::size_t jobs = 0;  ///< 0 = hardware_concurrency, 1 = serial
+  SweepObsOptions obs = {};  ///< every cell's bundle
 };
 
-/// A cell run: `cell.stem` is set; the run writes its artifacts,
-/// cell.summary, cell.ok and its own keys of the open summary row.
-using GridCellRun = std::function<void(const GridPoint& point, SweepCell& cell,
-                                       obs::JsonWriter& row)>;
+/// A cell run: `cell.stem` is set and `obs` is the cell's fresh bundle;
+/// the run records into `obs`, writes its own artifacts, cell.summary,
+/// cell.ok and its own keys of the open summary row.
+using GridCellRun =
+    std::function<void(const GridPoint& point, SweepCell& cell,
+                       obs::Observability& obs, obs::JsonWriter& row)>;
 
-/// Run every cell of the grid, write <out_dir>/<experiment>_summary.json
-/// and return the cells in grid order. A cell's exception is rethrown
-/// (lowest grid index first) and no summary is written.
+/// Run every cell of the grid, write each cell's metrics.json and
+/// trace.json and <out_dir>/<experiment>_summary.json, and return the
+/// cells in grid order. A cell's exception is rethrown (lowest grid
+/// index first) and no summary is written.
 std::vector<SweepCell> run_grid(const GridSpec& spec, const GridCellRun& run);
 
 /// The slug of every value, in order: GridSpec::axis and the front's
@@ -127,8 +139,9 @@ class GridCli {
   /// Declare the binary's own flags here before parse().
   Flags& flags() { return flags_; }
 
-  /// Parse and validate argv. False when main should return status():
-  /// 0 after --help, 1 after an error (already printed to stderr).
+  /// Parse and validate argv (--out must name an existing directory).
+  /// False when main should return status(): 0 after --help, 1 after an
+  /// error (already printed to stderr).
   bool parse(int argc, char** argv);
   int status() const { return flags_.help_requested() ? 0 : 1; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 
@@ -117,9 +116,7 @@ std::vector<RolloutFaultKind> rollout_all_fault_kinds() {
           RolloutFaultKind::kRandom};
 }
 
-RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
-                                     const std::string& metrics_path,
-                                     const std::string& trace_path) {
+RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config) {
   if (config.store_dir.empty()) {
     throw std::runtime_error("rollout_chaos: store_dir is required");
   }
@@ -181,10 +178,7 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
     fleet.set_contract(tc);
   }
 
-  obs::Tracer tracer(1u << 16);
-  tracer.set_mask(obs::trace_bit(obs::TraceCategory::kMgmt) |
-                  obs::trace_bit(obs::TraceCategory::kRuntime));
-  fleet.set_tracer(&tracer);
+  if (config.obs != nullptr) fleet.set_tracer(&config.obs->tracer);
 
   control::ControlPlane cp(fleet);
   const mgmt::JsonValue v1 =
@@ -255,7 +249,7 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
   rcfg.wave_retry_budget = budget;
   rcfg.probe.seed = config.seed;
   mgmt::RolloutEngine engine(cp, *store, rcfg);
-  engine.set_tracer(&tracer);
+  if (config.obs != nullptr) engine.set_tracer(&config.obs->tracer);
 
   out.report = engine.rollout(out.candidate_version);
   out.install_rejections = *rejections;
@@ -308,8 +302,10 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
            out.store_recovery_identical && out.zero_epoch_mismatches &&
            out.activity_seen;
 
-  if (!metrics_path.empty()) {
-    obs::Registry reg;
+  // Export + freeze LAST, while the fleet and control plane the
+  // registry's views point at still exist.
+  if (config.obs != nullptr) {
+    obs::Registry& reg = config.obs->registry;
     fleet.export_metrics(reg, "fleet");
     cp.export_metrics(reg, "control");
     reg.set_gauge("store.versions",
@@ -323,10 +319,7 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
                   static_cast<double>(rep.switches_touched));
     reg.set_gauge("rollout.reconcile_passes",
                   static_cast<double>(rep.reconcile_passes));
-    obs::save_metrics_json(metrics_path, reg);
-  }
-  if (!trace_path.empty()) {
-    obs::save_trace_json(trace_path, tracer);
+    reg.freeze();
   }
   return out;
 }
@@ -341,13 +334,14 @@ std::vector<SweepCell> run_rollout_chaos_sweep(
                       .out_dir = sweep.out_dir,
                       .jobs = sweep.jobs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
     RolloutChaosConfig config = sweep.base;
     config.kind = sweep.kinds[p.axis];
     config.seed = p.seed;
     config.store_dir = cell.stem + "_store";
-    const RolloutChaosResult r = run_rollout_chaos(
-        config, cell.stem + "_metrics.json", cell.stem + "_trace.json");
+    config.obs = &obs;
+    const RolloutChaosResult r = run_rollout_chaos(config);
     cell.ok = r.ok;
 
     const mgmt::RolloutReport& rep = r.report;

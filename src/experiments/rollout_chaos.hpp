@@ -1,5 +1,5 @@
-// Rollout chaos harness (ISSUE 9 tentpole, pillar 3): the management
-// plane's canary-then-wave rollouts under injected faults — switch
+// Rollout chaos harness (robustness): the management plane's
+// canary-then-wave rollouts under injected faults — switch
 // unreachability mid-wave, SLO regressions planted in the canary
 // cohort, store crashes between journal append and commit-ack, and a
 // seeded random mix — swept over fault kinds x seeds, each cell
@@ -19,13 +19,13 @@
 //   5. clean books — zero packets were scheduled under a half-
 //      installed plan during health probes (epoch mismatches == 0).
 //
-// Each cell writes <stem>_metrics.json (fleet + control-plane + store
-// registries) and <stem>_trace.json (mgmt/runtime trace of waves,
-// probes, aborts and reconciles), plus its config store directory
-// <stem>_store/. The sweep is a cell run of the one grid runner
-// (experiments/grid.hpp): cells fan across cores, the summary reduces
-// in grid order, and the CLI exits non-zero when any cell violates the
-// contract.
+// The sweep is a cell run of the one grid runner (experiments/grid.hpp):
+// cells fan across cores, the summary reduces in grid order, and the
+// CLI exits non-zero when any cell violates the contract. Each cell
+// records into the runner's bundle, which the runner writes as
+// <stem>_metrics.json (fleet + control-plane + store registries) and
+// <stem>_trace.json (mgmt/runtime trace of waves, probes, aborts and
+// reconciles); the cell itself keeps its config store in <stem>_store/.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +59,11 @@ struct RolloutChaosConfig {
 
   /// Config store directory for this cell (REQUIRED; one per cell).
   std::string store_dir;
+
+  /// Optional instrumentation (not owned): the run attaches the tracer
+  /// to the fleet and the rollout engine and, at teardown, exports the
+  /// fleet/control/store metrics and freeze()s the registry.
+  obs::Observability* obs = nullptr;
 };
 
 struct RolloutChaosResult {
@@ -82,16 +87,13 @@ struct RolloutChaosResult {
   bool ok = false;
 };
 
-/// Run one (kind, seed) cell. `metrics_path`, when non-empty, receives
-/// the end-of-run fleet/control/store registries.
-RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
-                                     const std::string& metrics_path = "",
-                                     const std::string& trace_path = "");
+/// Run one (kind, seed) cell.
+RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config);
 
 // --- sweep: kinds x seeds -------------------------------------------------
 
 struct RolloutChaosSweepConfig {
-  RolloutChaosConfig base;  ///< kind/seed/store_dir overridden per cell
+  RolloutChaosConfig base;  ///< kind/seed/store_dir/obs overridden per cell
   std::vector<RolloutFaultKind> kinds = rollout_all_fault_kinds();
   std::vector<std::uint64_t> seeds = {1};
   std::string out_dir = ".";

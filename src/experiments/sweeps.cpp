@@ -1,37 +1,8 @@
 #include "experiments/sweeps.hpp"
 
 #include "obs/json_writer.hpp"
-#include "obs/obs.hpp"
 
 namespace qv::experiments {
-
-namespace {
-
-std::uint32_t trace_mask(const SweepObsOptions& opts) {
-  if (!opts.trace) return 0;
-  std::uint32_t mask = obs::trace_bit(obs::TraceCategory::kSched) |
-                       obs::trace_bit(obs::TraceCategory::kQvisor) |
-                       obs::trace_bit(obs::TraceCategory::kRuntime);
-  if (opts.trace_sim) mask |= obs::trace_bit(obs::TraceCategory::kSim);
-  return mask;
-}
-
-/// Every simulated cell owns one of these: a fresh Observability whose
-/// artifacts it saves under the cell's stem after the run.
-struct CellObs {
-  obs::Observability obs;
-  explicit CellObs(const SweepObsOptions& opts)
-      : obs(opts.trace_capacity) {
-    obs.sample_interval = microseconds(opts.sample_interval_us);
-    obs.tracer.set_mask(trace_mask(opts));
-  }
-  void save(const std::string& stem) {
-    obs::save_metrics_json(stem + "_metrics.json", obs.registry);
-    obs::save_trace_json(stem + "_trace.json", obs.tracer);
-  }
-};
-
-}  // namespace
 
 // --- slugs ----------------------------------------------------------------
 
@@ -77,18 +48,18 @@ std::vector<SweepCell> run_fig2_sweep(const Fig2SweepConfig& sweep) {
                       .axis = slugs(sweep.schemes, fig2_scheme_slug),
                       .seeds = sweep.seeds,
                       .out_dir = sweep.out_dir,
-                      .jobs = sweep.jobs};
+                      .jobs = sweep.jobs,
+                      .obs = sweep.obs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
     const Fig2Scheme scheme = sweep.schemes[p.axis];
-    CellObs cell_obs(sweep.obs);
     Fig2Config config = sweep.base;
     config.scheme = scheme;
     config.seed = p.seed;
-    config.obs = &cell_obs.obs;
+    config.obs = &obs;
     config.flow_csv = cell.stem + "_flows.csv";
     const Fig2Result r = run_fig2(config);
-    cell_obs.save(cell.stem);
 
     std::string& s = cell.summary;
     appendf(s, "fig2 %s (seed %llu)\n", fig2_scheme_name(scheme),
@@ -125,19 +96,19 @@ std::vector<SweepCell> run_fig4_sweep(const Fig4SweepConfig& sweep) {
                       .loads = sweep.loads,
                       .seeds = sweep.seeds,
                       .out_dir = sweep.out_dir,
-                      .jobs = sweep.jobs};
+                      .jobs = sweep.jobs,
+                      .obs = sweep.obs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
     const Fig4Scheme scheme = sweep.schemes[p.axis];
-    CellObs cell_obs(sweep.obs);
     Fig4Config config = sweep.base;
     config.scheme = scheme;
     config.load = p.load;
     config.seed = p.seed;
-    config.obs = &cell_obs.obs;
+    config.obs = &obs;
     config.flow_csv = cell.stem + "_flows.csv";
     const Fig4Result r = run_fig4(config);
-    cell_obs.save(cell.stem);
 
     std::string& s = cell.summary;
     appendf(s, "fig4 %s, load %.2f (seed %llu)\n", fig4_scheme_name(scheme),
@@ -173,15 +144,15 @@ std::vector<SweepCell> run_chaos_sweep(const ChaosSweepConfig& sweep) {
                       .stem = "chaos",
                       .seeds = sweep.seeds,
                       .out_dir = sweep.out_dir,
-                      .jobs = sweep.jobs};
+                      .jobs = sweep.jobs,
+                      .obs = sweep.obs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
-    CellObs cell_obs(sweep.obs);
     ChaosConfig config = sweep.base;
     config.seed = p.seed;
-    config.obs = &cell_obs.obs;
+    config.obs = &obs;
     const ChaosResult r = run_chaos(config);
-    cell_obs.save(cell.stem);
     cell.ok = r.conserved && r.epoch_mismatches == 0 && r.epochs_consistent &&
               (!config.control_faults ||
                (r.rollbacks > 0 && r.retries > 0 && r.reconciles > 0));
@@ -271,16 +242,16 @@ std::vector<SweepCell> run_overload_sweep(const OverloadSweepConfig& sweep) {
       .axis = slugs(sweep.modes, trafficgen::adversary_mode_name),
       .seeds = sweep.seeds,
       .out_dir = sweep.out_dir,
-      .jobs = sweep.jobs};
+      .jobs = sweep.jobs,
+      .obs = sweep.obs};
   return run_grid(spec, [&sweep](const GridPoint& p, SweepCell& cell,
+                                 obs::Observability& obs,
                                  obs::JsonWriter& row) {
-    CellObs cell_obs(sweep.obs);
     OverloadConfig config = sweep.base;
     config.mode = sweep.modes[p.axis];
     config.seed = p.seed;
-    config.obs = &cell_obs.obs;
+    config.obs = &obs;
     const OverloadResult r = run_overload(config);
-    cell_obs.save(cell.stem);
     cell.ok = r.ok;
 
     const OverloadRun& atk = r.attack;

@@ -1,20 +1,15 @@
 // The four simulated experiment grids — fig2 schemes x seeds, fig4
 // schemes x loads x seeds, chaos seeds, overload modes x seeds — as
 // cell runs of the one grid runner (experiments/grid.hpp), which owns
-// grid order, artifact stems, log capture, --jobs and the summary file.
+// grid order, artifact stems, each cell's observability bundle and its
+// metrics.json/trace.json, log capture, --jobs and the summary file.
 //
-// Each cell builds its own Observability (registry + tracer +
-// samplers), Simulator and RNG streams inside the run_* function and
-// writes only cell-unique files (<stem>_flows.csv / <stem>_metrics.json
-// / <stem>_trace.json), so for every artifact EXCEPT trace.json,
-// `--jobs N` output is byte-identical to `--jobs 1`. trace.json is
-// excluded from that contract only because some span durations
-// deliberately record wall-clock cost (simulator dispatch under
-// trace_sim, runtime recompiles; see obs/trace.hpp); every
-// simulated-time field in it is deterministic. fig4 without trace_sim,
-// chaos and overload have no such span (recompile spans are the
-// hypervisor deploy target's, fig2 only), so their trace.json is
-// byte-identical too.
+// Each cell runs on its own Simulator and RNG streams (fig2/fig4 also
+// write <stem>_flows.csv), so every artifact is byte-identical for
+// every --jobs value, except trace.json where a span records wall-clock
+// cost: simulator dispatch under trace_sim, and the hypervisor deploy
+// target's `recompile` spans, which only fig2 runs (chaos and overload
+// deploy through a FleetTarget; see obs/trace.hpp).
 #pragma once
 
 #include <cstdint>

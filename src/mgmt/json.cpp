@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/json_writer.hpp"
+
 namespace qv::mgmt {
 
 std::uint64_t fnv1a(std::string_view bytes) {
@@ -17,35 +19,6 @@ std::uint64_t fnv1a(std::string_view bytes) {
 }
 
 // --- serialization ----------------------------------------------------------
-
-namespace {
-
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 void JsonValue::dump_to(std::string& out) const {
   switch (type_) {
@@ -84,7 +57,7 @@ void JsonValue::dump_to(std::string& out) const {
       return;
     }
     case Type::kString:
-      dump_string(string_, out);
+      out += '"' + obs::json_escape(string_) + '"';
       return;
     case Type::kArray: {
       out += '[';
@@ -103,8 +76,7 @@ void JsonValue::dump_to(std::string& out) const {
       for (const auto& [k, v] : object_) {
         if (!first) out += ',';
         first = false;
-        dump_string(k, out);
-        out += ':';
+        out += '"' + obs::json_escape(k) + "\":";
         v.dump_to(out);
       }
       out += '}';

@@ -1,4 +1,4 @@
-// Minimal JSON document model for the management plane (ISSUE 9).
+// Minimal JSON document model for the management plane.
 //
 // The config store persists operator documents (tenant contracts,
 // grouped policies, topology) as JSON, and the journal's crash-recovery
@@ -7,7 +7,11 @@
 // objects are sorted maps (key order cannot leak insertion history),
 // dump() emits no whitespace, and doubles print through one fixed
 // format. parse(dump(v)) == v for every value, and dump(parse(t)) is a
-// canonical form of t.
+// canonical form of t. Strings escape through obs::json_escape, the
+// repo's one escaper; the double format stays the store's own, because
+// the parse/dump fixed point needs one fixed %.17g + ".0" form while
+// obs's shortest round-trip form is what the golden metrics.json
+// digests pin.
 //
 // Deliberately small: null/bool/int64/double/string/array/object, a
 // depth-limited recursive-descent parser with position-carrying errors

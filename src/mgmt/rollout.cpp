@@ -56,10 +56,10 @@ RolloutEngine::RolloutEngine(control::ControlPlane& cp, ConfigStore& store,
   if (config_.wave_size == 0) config_.wave_size = 1;
 }
 
-void RolloutEngine::trace(const char* name, TimeNs ts,
+void RolloutEngine::trace(const char* name, TimeNs ts, const char* arg_name,
                           std::uint64_t arg) const {
   if (tracer_ != nullptr && tracer_->enabled(obs::TraceCategory::kMgmt)) {
-    tracer_->instant(obs::TraceCategory::kMgmt, name, ts, /*tid=*/0, "arg",
+    tracer_->instant(obs::TraceCategory::kMgmt, name, ts, /*tid=*/0, arg_name,
                      arg);
   }
 }
@@ -280,14 +280,14 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
   if (!staged.ok) return reject("stage failed: " + staged.error);
   rep.staged_epoch = staged.epoch;
   rep.incremental = staged.incremental;
-  trace("rollout:stage", now, staged.epoch);
+  trace("rollout:stage", now, "epoch", staged.epoch);
 
   // Abort = drop the staged epoch, then anti-entropy back to LKG.
   const auto abort_rollout = [&](std::string why) -> RolloutReport& {
     rep.outcome = RolloutOutcome::kAborted;
     rep.abort_reason = std::move(why);
     rep.switches_touched = fleet.staged_switches();
-    trace("rollout:abort", now, rep.switches_touched);
+    trace("rollout:abort", now, "switches_touched", rep.switches_touched);
     cp_.abort_staged(now);
     while (!fleet.epochs_consistent() &&
            rep.reconcile_passes < config_.heal_budget) {
@@ -321,7 +321,7 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
     }
     wr.committed = committed;
     wr.error = committed ? "" : err;
-    trace(committed ? "rollout:wave" : "rollout:wave_failed", now, w);
+    trace(committed ? "rollout:wave" : "rollout:wave_failed", now, "wave", w);
     if (!committed) {
       rep.waves.push_back(std::move(wr));
       return abort_rollout("wave " + std::to_string(w) +
@@ -339,7 +339,7 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
         rep.probes.push_back(pr);
         if (!pr.pass) {
           wr.probe_pass = false;
-          trace("rollout:probe_failed", now, idx);
+          trace("rollout:probe_failed", now, "switch", idx);
           rep.waves.push_back(std::move(wr));
           return abort_rollout("SLO regression on switch " +
                                std::to_string(idx) + ": " + pr.failure);
@@ -354,7 +354,7 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
   if (!cp_.finalize_staged(&err)) {
     return abort_rollout("finalize failed: " + err);
   }
-  trace("rollout:finalize", now, rep.staged_epoch);
+  trace("rollout:finalize", now, "epoch", rep.staged_epoch);
   rep.outcome = RolloutOutcome::kCommitted;
   rep.converged = fleet.epochs_consistent();
   const std::uint64_t new_fp = plan_fingerprint(*cp_.deployed());

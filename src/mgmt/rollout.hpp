@@ -172,7 +172,8 @@ class RolloutEngine {
   std::vector<std::vector<std::size_t>> plan_waves() const;
   std::vector<std::uint32_t> victim_tenants() const;
   std::vector<std::uint32_t> probe_tenants() const;
-  void trace(const char* name, TimeNs ts, std::uint64_t arg) const;
+  void trace(const char* name, TimeNs ts, const char* arg_name,
+             std::uint64_t arg) const;
 
   control::ControlPlane& cp_;
   ConfigStore& store_;

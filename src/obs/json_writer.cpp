@@ -17,6 +17,12 @@ std::string json_escape(std::string_view s) {
       case '\\':
         out += "\\\\";
         break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
       case '\n':
         out += "\\n";
         break;

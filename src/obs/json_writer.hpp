@@ -2,6 +2,12 @@
 // exporters: handles escaping, comma placement, and non-finite doubles
 // (emitted as null) so every exporter produces valid JSON by
 // construction.
+//
+// json_escape is the repo's one string escaper (mgmt::JsonValue::dump
+// calls it too). The two double formats stay two: this writer's
+// shortest round-trip form is what the golden metrics.json digests
+// pin, while the config store's parse/dump fixed point needs one fixed
+// %.17g + ".0" form (mgmt/json.hpp).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +18,8 @@
 
 namespace qv::obs {
 
-/// JSON string escaping (quotes, backslash, control characters).
+/// JSON string escaping: quotes, backslash, the short forms \b \f \n
+/// \r \t, and \u00XX for every other control character.
 std::string json_escape(std::string_view s);
 
 /// True when json_escape(s) would differ from s.

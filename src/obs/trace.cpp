@@ -21,6 +21,8 @@ const char* trace_category_name(TraceCategory c) {
       return "runtime";
     case TraceCategory::kMgmt:
       return "mgmt";
+    case TraceCategory::kDataplane:
+      return "dataplane";
   }
   return "?";
 }
@@ -33,6 +35,19 @@ const char* Tracer::intern(const std::string& s) {
   }
   interned_.push_back(s);
   return interned_.back().c_str();
+}
+
+void Tracer::push_args(TraceEvent head, std::initializer_list<TraceArg> args) {
+  const TraceArg* a = args.begin();
+  if (a != args.end()) {
+    head.arg_name = a->name;
+    head.arg = a->value;
+    ++a;
+  }
+  push(head);
+  for (; a != args.end(); ++a) {
+    push({nullptr, head.cat, 0, head.tid, head.ts, 0, a->name, a->value});
+  }
 }
 
 void Tracer::set_thread_name(std::uint32_t tid, const std::string& name) {
@@ -91,6 +106,12 @@ void append_str(std::string& out, std::string_view s) {
   out += '"';
 }
 
+void append_arg(std::string& out, const TraceEvent& e) {
+  append_str(out, e.arg_name);
+  out += ':';
+  append_int(out, e.arg);
+}
+
 }  // namespace
 
 void Tracer::write_json(std::ostream& out) const {
@@ -111,9 +132,13 @@ void Tracer::write_json(std::ostream& out) const {
 
   // The ring in place, oldest first: a full ring starts at next_.
   std::size_t i = count_ < ring_.size() ? 0 : next_;
+  const auto advance = [this](std::size_t at) {
+    return at + 1 == ring_.size() ? 0 : at + 1;
+  };
   for (std::size_t k = 0; k < count_; ++k) {
     const TraceEvent& e = ring_[i];
-    i = i + 1 == ring_.size() ? 0 : i + 1;
+    i = advance(i);
+    if (e.ph == 0) continue;  // a continuation whose head was overwritten
     buf += R"(,{"name":)";
     append_str(buf, e.name);
     buf += R"(,"cat":")";
@@ -131,9 +156,11 @@ void Tracer::write_json(std::ostream& out) const {
     if (e.ph == 'i') buf += R"(,"s":"t")";  // thread-scoped instant
     if (e.arg_name != nullptr) {
       buf += R"(,"args":{)";
-      append_str(buf, e.arg_name);
-      buf += ':';
-      append_int(buf, e.arg);
+      append_arg(buf, e);
+      for (; k + 1 < count_ && ring_[i].ph == 0; ++k, i = advance(i)) {
+        buf += ',';
+        append_arg(buf, ring_[i]);
+      }
       buf += '}';
     }
     buf += '}';

@@ -18,6 +18,13 @@
 // a Perfetto timeline shows where simulated time went AND what each
 // event cost to execute; producers say which convention they use.
 //
+// An event carries at most one integer arg in its own row, so every
+// row — and a fig4 cell's 65,536-slot ring — stays 48 bytes. An
+// episode-time event with k args (a dataplane recovery span) takes k
+// consecutive slots: the head holds the first arg, each continuation
+// slot (ph 0, name nullptr) one more, and write_json folds them back
+// into one event. size(), capacity() and dropped() count slots.
+//
 // Events carry a `tid` lane: Perfetto renders one row per tid, so
 // per-port queue depth counters and per-port enqueue/drop instants get
 // their own labelled swimlanes (set_thread_name). The `tid` is a
@@ -28,6 +35,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -44,24 +52,34 @@ enum class TraceCategory : std::uint8_t {
   kQvisor = 2,   ///< preprocessor / synthesis / plan installs
   kRuntime = 3,  ///< runtime controller, monitor verdicts
   kMgmt = 4,     ///< config store ops, rollout waves/probes/aborts
+  kDataplane = 5,  ///< shard recoveries and quarantine verdicts
 };
 
 constexpr std::uint32_t trace_bit(TraceCategory c) {
   return 1u << static_cast<unsigned>(c);
 }
-inline constexpr std::uint32_t kTraceAll = 0x1F;
+inline constexpr std::uint32_t kTraceAll = 0x3F;
 
 const char* trace_category_name(TraceCategory c);
 
 struct TraceEvent {
   const char* name;   ///< must outlive the tracer (literal or interned)
   TraceCategory cat;
-  char ph;            ///< 'X' complete, 'i' instant, 'C' counter
+  char ph;            ///< 'X' complete, 'i' instant, 'C' counter,
+                      ///< 0 continuation (one more arg of the event before)
   std::uint32_t tid;  ///< swimlane (0 = the simulator itself)
   TimeNs ts;          ///< simulated time
   TimeNs dur;         ///< 'X' only; producers may record wall-clock ns
   const char* arg_name;  ///< nullptr = no args payload
   std::uint64_t arg;
+};
+static_assert(sizeof(TraceEvent) == 48, "one ring slot per event row");
+
+/// One named arg of a multi-arg event; the name must outlive the
+/// tracer, like an event name.
+struct TraceArg {
+  const char* name;
+  std::uint64_t value;
 };
 
 class Tracer {
@@ -92,6 +110,15 @@ class Tracer {
                std::uint64_t value, std::uint32_t tid = 0) {
     push({name, cat, 'C', tid, ts, 0, "value", value});
   }
+  /// Multi-arg forms: one ring slot per arg, args serialized in order.
+  void instant(TraceCategory cat, const char* name, TimeNs ts,
+               std::uint32_t tid, std::initializer_list<TraceArg> args) {
+    push_args({name, cat, 'i', tid, ts, 0, nullptr, 0}, args);
+  }
+  void complete(TraceCategory cat, const char* name, TimeNs ts, TimeNs dur,
+                std::uint32_t tid, std::initializer_list<TraceArg> args) {
+    push_args({name, cat, 'X', tid, ts, dur, nullptr, 0}, args);
+  }
 
   /// Pin a dynamically-built label for the tracer's lifetime (per-port
   /// names). Setup-time only; interning the same string twice returns
@@ -106,7 +133,7 @@ class Tracer {
   std::uint64_t dropped() const { return dropped_; }
   void clear();
 
-  /// Buffered events, oldest first.
+  /// Buffered ring slots, oldest first (continuation slots included).
   std::vector<TraceEvent> events() const;
 
   /// Chrome trace-event JSON: {"traceEvents":[...],...}. Streams the
@@ -125,6 +152,7 @@ class Tracer {
       ++dropped_;
     }
   }
+  void push_args(TraceEvent head, std::initializer_list<TraceArg> args);
 
   std::vector<TraceEvent> ring_;
   std::size_t next_ = 0;

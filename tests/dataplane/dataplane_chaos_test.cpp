@@ -6,6 +6,7 @@
 // shortened stream so the whole grid stays in unit-test time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -51,18 +52,23 @@ TEST(DataplaneChaosHarness, EveryFaultKindRecoversAcrossSeeds) {
   }
 }
 
-/// The summary rows' kind, seed and verdict fields: the part of
-/// dpchaos_summary.json that no thread timing can move.
-std::vector<std::string> summary_verdicts(const std::string& path) {
+mgmt::JsonValue load_json(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream text;
   text << in.rdbuf();
-  const mgmt::JsonParseResult doc = mgmt::parse_json(text.str());
+  mgmt::JsonParseResult doc = mgmt::parse_json(text.str());
   EXPECT_TRUE(doc.ok()) << path << ": " << doc.error;
-  if (!doc.ok()) return {};
-  EXPECT_EQ(doc.value->find("experiment")->as_string(), "dpchaos");
+  return doc.ok() ? std::move(*doc.value) : mgmt::JsonValue();
+}
+
+/// The summary rows' kind, seed and verdict fields: the part of
+/// dpchaos_summary.json that no thread timing can move.
+std::vector<std::string> summary_verdicts(const std::string& path) {
+  const mgmt::JsonValue doc = load_json(path);
+  if (doc.find("grid") == nullptr) return {};
+  EXPECT_EQ(doc.find("experiment")->as_string(), "dpchaos");
   std::vector<std::string> rows;
-  for (const mgmt::JsonValue& row : doc.value->find("grid")->as_array()) {
+  for (const mgmt::JsonValue& row : doc.find("grid")->as_array()) {
     std::string r = row.find("kind")->as_string() + " s" +
                     std::to_string(row.find("seed")->as_int());
     for (const char* verdict :
@@ -110,6 +116,95 @@ TEST(DataplaneChaosHarness, SweepWritesArtifactsAndSummary) {
     std::filesystem::remove_all(root);
   }
   EXPECT_EQ(verdicts[0], verdicts[1]);
+}
+
+/// The keys of an event's args, in the order written.
+std::vector<std::string> arg_keys(const mgmt::JsonValue& event) {
+  std::vector<std::string> keys;
+  if (const mgmt::JsonValue* args = event.find("args")) {
+    for (const auto& [key, value] : args->as_object()) keys.push_back(key);
+  }
+  return keys;
+}
+
+// The runner writes each cell's trace.json from the tracer the cell
+// recorded into: a crash cell carries one recover:crash span per
+// restore, a poison cell one quarantine instant per isolated packet,
+// each with all of its args, on a named shard lane.
+TEST(DataplaneChaosHarness, TraceCarriesRecoveriesAndQuarantines) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "qv_dpchaos_trace";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  DataplaneChaosSweepConfig sweep;
+  sweep.base.base.packets_per_port = 2000;
+  sweep.kinds = {DataplaneFaultKind::kCrash, DataplaneFaultKind::kPoison};
+  sweep.seeds = {7};
+  sweep.out_dir = root.string();
+  sweep.jobs = 1;
+  const auto cells = run_dataplane_chaos_sweep(sweep);
+  ASSERT_EQ(cells.size(), 2u);
+  const mgmt::JsonValue summary =
+      load_json((root / "dpchaos_summary.json").string());
+  const mgmt::JsonValue::Array& rows = summary.find("grid")->as_array();
+  ASSERT_EQ(rows.size(), 2u);
+
+  // JsonValue objects iterate sorted, so arg keys come back sorted.
+  const std::vector<std::string> recover_args = {"at_burst", "drained",
+                                                 "lost"};
+  const std::vector<std::string> quarantine_args = {"faults", "port", "seq",
+                                                    "tenant"};
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const mgmt::JsonValue trace = load_json(cells[c].stem + "_trace.json");
+    std::int64_t crash_spans = 0;
+    std::int64_t quarantines = 0;
+    std::vector<std::int64_t> span_lanes;
+    std::vector<std::int64_t> named_lanes;
+    for (const mgmt::JsonValue& e : trace.find("traceEvents")->as_array()) {
+      const std::string name = e.find("name")->as_string();
+      const std::string ph = e.find("ph")->as_string();
+      if (name == "thread_name") {
+        named_lanes.push_back(e.find("tid")->as_int());
+        EXPECT_EQ(e.find("args")->find("name")->as_string(),
+                  "shard" + std::to_string(e.find("tid")->as_int()));
+        continue;
+      }
+      if (ph == "M") continue;
+      EXPECT_EQ(e.find("cat")->as_string(), "dataplane") << name;
+      if (ph == "X") {
+        EXPECT_EQ(name.rfind("recover:", 0), 0u) << name;
+        EXPECT_EQ(arg_keys(e), recover_args) << name;
+        const std::int64_t drained =
+            e.find("args")->find("drained")->as_int();
+        EXPECT_TRUE(drained == 0 || drained == 1) << drained;
+        span_lanes.push_back(e.find("tid")->as_int());
+        crash_spans += name == "recover:crash";
+      } else {
+        EXPECT_EQ(ph, "i");
+        EXPECT_EQ(name, "quarantine");
+        EXPECT_EQ(arg_keys(e), quarantine_args);
+        EXPECT_GE(e.find("args")->find("faults")->as_int(), 1);
+        ++quarantines;
+      }
+    }
+    // Every lane a span sits on is named.
+    for (const std::int64_t lane : span_lanes) {
+      EXPECT_NE(std::find(named_lanes.begin(), named_lanes.end(), lane),
+                named_lanes.end())
+          << lane;
+    }
+    const mgmt::JsonValue& row = rows[c];
+    if (c == 0) {  // crash: one span per restore
+      EXPECT_GE(crash_spans, 1);
+      EXPECT_EQ(crash_spans, row.find("restores")->as_int());
+      EXPECT_EQ(quarantines, 0);
+    } else {  // poison: one instant per isolated packet
+      EXPECT_GE(quarantines, 1);
+      EXPECT_EQ(quarantines, row.find("quarantined")->as_int());
+      EXPECT_EQ(crash_spans, 0);
+    }
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

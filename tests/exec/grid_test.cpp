@@ -1,17 +1,21 @@
 // The one experiment grid (experiments/grid.hpp): the runner's grid
-// order, stem rule, log capture and summary framing on a toy cell run,
-// and the command-line front's shared flags, axis spellings and bounds.
+// order, stem rule, log capture, per-cell observability bundle and
+// artifacts, and summary framing on a toy cell run, and the
+// command-line front's shared flags, axis spellings and bounds.
 #include "experiments/grid.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/json_writer.hpp"
+#include "obs/obs.hpp"
 #include "util/logging.hpp"
 
 namespace qv::experiments {
@@ -34,7 +38,8 @@ fs::path fresh_dir(const std::string& name) {
 }
 
 /// A cell run that records its point and fails the cell for seed 2.
-void toy_cell(const GridPoint& p, SweepCell& cell, obs::JsonWriter& row) {
+void toy_cell(const GridPoint& p, SweepCell& cell, obs::Observability&,
+              obs::JsonWriter& row) {
   QV_WARN << "cell " << p.axis << "/" << p.load << "/" << p.seed;
   appendf(cell.summary, "toy %zu %.1f %llu\n", p.axis, p.load,
           static_cast<unsigned long long>(p.seed));
@@ -105,6 +110,97 @@ TEST(RunGrid, SummaryFramesOneRowPerCellInGridOrder) {
             "{\"kind\":\"b\",\"load\":0.3,\"seed\":1,\"ok\":true}]}\n");
 }
 
+/// A cell run that records its seed, the bundle's sampler cadence and
+/// one event per enabled trace category into the runner's bundle.
+void recording_cell(const GridPoint& p, SweepCell&, obs::Observability& obs,
+                    obs::JsonWriter&) {
+  obs.registry.counter("toy.seed").inc(p.seed);
+  obs.registry.set_gauge("toy.sample_interval_ns",
+                         static_cast<double>(obs.sample_interval));
+  for (const auto cat :
+       {obs::TraceCategory::kSim, obs::TraceCategory::kSched,
+        obs::TraceCategory::kQvisor, obs::TraceCategory::kRuntime,
+        obs::TraceCategory::kMgmt, obs::TraceCategory::kDataplane}) {
+    if (obs.tracer.enabled(cat)) {
+      obs.tracer.instant(cat, obs::trace_category_name(cat), 1);
+    }
+  }
+}
+
+std::size_t count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RunGrid, EveryCellGetsMetricsAndTraceFromTheRunner) {
+  const fs::path dir = fresh_dir("grid_artifacts");
+  GridSpec spec{.experiment = "toy",
+                .stem = "t",
+                .seeds = {1, 7},
+                .out_dir = dir.string(),
+                .jobs = 2};
+  spec.obs.trace_capacity = 4;
+  spec.obs.sample_interval_us = 250;
+  const auto cells = run_grid(spec, recording_cell);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string metrics = slurp(cells[i].stem + "_metrics.json");
+    EXPECT_NE(metrics.find("\"toy.seed\":" + std::to_string(spec.seeds[i])),
+              std::string::npos)
+        << metrics;
+    EXPECT_NE(metrics.find("\"toy.sample_interval_ns\":250000"),
+              std::string::npos)
+        << metrics;
+    // Every category but sim recorded one event: five into a 4-slot
+    // ring, so the oldest (sched) was overwritten.
+    const std::string trace = slurp(cells[i].stem + "_trace.json");
+    EXPECT_EQ(count(trace, "\"cat\":"), 4u) << trace;
+    for (const char* cat : {"qvisor", "runtime", "mgmt", "dataplane"}) {
+      EXPECT_EQ(count(trace, std::string("\"cat\":\"") + cat + "\""), 1u)
+          << cat;
+    }
+    EXPECT_NE(trace.find("\"dropped_events\":1}"), std::string::npos);
+  }
+  // 2 cells x {metrics.json, trace.json} + toy_summary.json.
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator{}),
+            5);
+
+  // trace_sim adds the simulator's category; no trace leaves only the
+  // process-name metadata.
+  spec.obs = {.trace_sim = true};
+  run_grid(spec, recording_cell);
+  EXPECT_EQ(count(slurp(dir / "t_s1_trace.json"), "\"cat\":"), 6u);
+  spec.obs = {.trace = false};
+  run_grid(spec, recording_cell);
+  EXPECT_EQ(count(slurp(dir / "t_s1_trace.json"), "\"cat\":"), 0u);
+}
+
+TEST(RunGrid, ThrowingCellWritesNoArtifacts) {
+  const fs::path dir = fresh_dir("grid_throw");
+  const GridSpec spec{.experiment = "toy",
+                      .stem = "t",
+                      .seeds = {1, 2},
+                      .out_dir = dir.string(),
+                      .jobs = 1};
+  EXPECT_THROW(run_grid(spec,
+                        [](const GridPoint& p, SweepCell& cell,
+                           obs::Observability& obs, obs::JsonWriter& row) {
+                          recording_cell(p, cell, obs, row);
+                          if (p.seed == 2) {
+                            throw std::runtime_error("cell failed");
+                          }
+                        }),
+               std::runtime_error);
+  // The cell that threw left nothing, and no summary was written.
+  EXPECT_FALSE(fs::exists(dir / "t_s2_metrics.json"));
+  EXPECT_FALSE(fs::exists(dir / "t_s2_trace.json"));
+  EXPECT_FALSE(fs::exists(dir / "toy_summary.json"));
+}
+
 /// Build an argv vector from string literals.
 class Argv {
  public:
@@ -158,14 +254,15 @@ TEST(GridCli, DefaultsFillTheSweep) {
 
 TEST(GridCli, ListsOverrideSingleValues) {
   Front f;
+  const std::string out = ::testing::TempDir();
   ASSERT_TRUE(f.parse({"--seed", "9", "--seeds", "1,7,1337", "--loads",
-                       "0.2,0.8", "--jobs", "2", "--out", "d",
+                       "0.2,0.8", "--jobs", "2", "--out", out,
                        "--trace-capacity", "4096", "--no-trace"}));
   Sweep s;
   f.cli.apply(s);
   EXPECT_EQ(s.seeds, (std::vector<std::uint64_t>{1, 7, 1337}));
   EXPECT_EQ(s.loads, (std::vector<double>{0.2, 0.8}));
-  EXPECT_EQ(s.out_dir, "d");
+  EXPECT_EQ(s.out_dir, out);
   EXPECT_EQ(s.jobs, 2u);
   EXPECT_EQ(s.obs.trace_capacity, 4096u);
   EXPECT_FALSE(s.obs.trace);
@@ -211,6 +308,23 @@ TEST(GridCli, RejectsNegativeJobsAndTraceCapacityBelowOne) {
     EXPECT_NE(err.find("toy: " + args[0] + " must be >= "),
               std::string::npos)
         << err;
+  }
+}
+
+// Checked before any cell runs: an unwritable --out would otherwise
+// fail only after the first cell's work, on its first artifact.
+TEST(GridCli, RejectsMissingOutDir) {
+  const fs::path file = fresh_dir("grid_out") / "file";
+  std::ofstream(file) << "x";
+  for (const std::string& out :
+       {(fs::path(::testing::TempDir()) / "no_such_dir").string(),
+        file.string()}) {
+    Front f;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(f.parse({"--out", out}));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(f.cli.status(), 1);
+    EXPECT_EQ(err, "toy: --out '" + out + "' is not a directory\n");
   }
 }
 

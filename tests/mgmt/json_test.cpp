@@ -1,9 +1,11 @@
-// Canonical JSON document model (ISSUE 9): one serialization per
-// value, strict parsing, and the parse/dump round-trip the store's
-// byte-identity contract rests on.
+// Canonical JSON document model: one serialization per value, strict
+// parsing, and the parse/dump round-trip the store's byte-identity
+// contract rests on.
 #include "mgmt/json.hpp"
 
 #include <gtest/gtest.h>
+
+#include "obs/json_writer.hpp"
 
 namespace qv::mgmt {
 namespace {
@@ -88,6 +90,26 @@ TEST(Json, FindAndSetOnObjects) {
   EXPECT_EQ(JsonValue(std::int64_t{1}).find("k"), nullptr);  // non-object
   obj.set("k", JsonValue("replaced"));
   EXPECT_TRUE(obj.find("k")->is_string());
+}
+
+// The store's string bytes, pinned: every control character, a quote
+// and a backslash. obs::json_escape is the one escaper behind them, so
+// metrics/trace names escape to exactly the same bytes.
+TEST(Json, OneEscaperForStoreAndObs) {
+  std::string raw;
+  for (char c = 0; c < 0x20; ++c) raw += c;
+  raw += "\"\\";
+  const std::string escaped =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\\\"\\\\";
+  EXPECT_EQ(JsonValue(raw).dump(), "\"" + escaped + "\"");
+  EXPECT_EQ(obs::json_escape(raw), escaped);
+  const JsonParseResult back = parse_json(JsonValue(raw).dump());
+  ASSERT_TRUE(back.ok()) << back.error;
+  EXPECT_EQ(back.value->as_string(), raw);
 }
 
 TEST(Json, Fnv1aIsStable) {

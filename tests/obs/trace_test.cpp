@@ -156,5 +156,67 @@ TEST(Tracer, JsonBytesPinned) {
   EXPECT_TRUE(testing::is_valid_json(t.to_json()));
 }
 
+// A k-arg event takes k ring slots and comes out as one event whose
+// args keep the order given; the events around it are untouched.
+TEST(Tracer, MultiArgEventsFoldInOrder) {
+  Tracer t(/*capacity=*/8);
+  t.enable_all();
+  t.instant(TraceCategory::kSched, "before", 1, /*tid=*/0, "rank", 3);
+  t.complete(TraceCategory::kDataplane, "recover:crash", 2000, /*dur=*/500,
+             /*tid=*/1, {{"at_burst", 12}, {"lost", 0}, {"drained", 1}});
+  t.instant(TraceCategory::kDataplane, "quarantine", 3000, /*tid=*/1,
+            {{"port", 2}, {"seq", 77}, {"tenant", 5}, {"faults", 3}});
+  t.instant(TraceCategory::kSched, "after", 4000);
+  EXPECT_EQ(t.size(), 8u);  // 1 + 3 + 4 slots; "after" wraps onto "before"
+  EXPECT_EQ(t.dropped(), 1u);
+
+  const std::string json = t.to_json();
+  EXPECT_TRUE(testing::is_valid_json(json)) << json;
+  EXPECT_EQ(json.find("\"before\""), std::string::npos);
+  EXPECT_NE(
+      json.find(R"({"name":"recover:crash","cat":"dataplane","ph":"X",)"
+                R"("pid":1,"tid":1,"ts":2.000,"dur":0.500,)"
+                R"("args":{"at_burst":12,"lost":0,"drained":1}})"),
+      std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"({"name":"quarantine","cat":"dataplane","ph":"i",)"
+                      R"("pid":1,"tid":1,"ts":3.000,"s":"t",)"
+                      R"("args":{"port":2,"seq":77,"tenant":5,"faults":3}})"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(R"("name":"after","cat":"sched","ph":"i","pid":1,)"
+                      R"("tid":0,"ts":4.000,"s":"t"})"),
+            std::string::npos)
+      << json;
+}
+
+// When the ring wraps into the middle of a multi-arg event, its head is
+// gone: the surviving continuation slots are skipped, not written as
+// events or glued onto the next one.
+TEST(Tracer, WrappedRingSkipsOrphanedContinuations) {
+  Tracer t(/*capacity=*/4);
+  t.enable_all();
+  t.instant(TraceCategory::kDataplane, "quarantine", 1000, /*tid=*/0,
+            {{"port", 1}, {"seq", 2}, {"tenant", 3}, {"faults", 4}});
+  t.instant(TraceCategory::kSched, "next", 2000, /*tid=*/0, "rank", 9);
+  t.instant(TraceCategory::kSched, "last", 3000);
+  EXPECT_EQ(t.dropped(), 2u);  // the head and its first continuation
+
+  const std::string json = t.to_json();
+  EXPECT_TRUE(testing::is_valid_json(json)) << json;
+  EXPECT_EQ(json.find("quarantine"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"tenant\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"faults\""), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("traceEvents":[)"
+                      R"({"ph":"M","pid":1,"tid":0,"name":"process_name",)"
+                      R"("args":{"name":"qvisor"}},)"
+                      R"({"name":"next","cat":"sched","ph":"i","pid":1,)"
+                      R"("tid":0,"ts":2.000,"s":"t","args":{"rank":9}},)"
+                      R"({"name":"last","cat":"sched","ph":"i","pid":1,)"
+                      R"("tid":0,"ts":3.000,"s":"t"}])"),
+            std::string::npos)
+      << json;
+}
+
 }  // namespace
 }  // namespace qv::obs
