@@ -524,7 +524,9 @@ struct Supervised {
     for (;;) {
       if (h.kill.load(std::memory_order_acquire)) {
         h.kill.store(false, std::memory_order_release);
-        ++shard.result.supervision.watchdog_detects;
+        SupervisionStats& st = shard.result.supervision;
+        ++st.watchdog_detects;
+        st.detect_ns.add(h.detect_age_ns.load());
         sup.beat(shard.index);
         throw ShardFault{RecoveryRecord::Cause::kStall};
       }
@@ -841,7 +843,7 @@ void DataplaneResult::export_metrics(obs::Registry& reg) const {
   reg.set_gauge("dataplane.pps", pps());
   reg.set_gauge("dataplane.wall_seconds", wall_seconds);
   const SupervisionStats sup = supervision();
-  if (sup.checkpoints > 0 || watchdog_detects > 0) {
+  if (sup.checkpoints > 0 || sup.watchdog_detects > 0) {
     reg.counter("dataplane.supervisor.checkpoints").inc(sup.checkpoints);
     reg.counter("dataplane.supervisor.forced_checkpoints")
         .inc(sup.forced_checkpoints);
@@ -851,11 +853,12 @@ void DataplaneResult::export_metrics(obs::Registry& reg) const {
     reg.counter("dataplane.supervisor.poison_faults").inc(sup.poison_faults);
     reg.counter("dataplane.supervisor.quarantined").inc(sup.quarantined);
     reg.counter("dataplane.supervisor.desyncs").inc(sup.desyncs);
-    reg.counter("dataplane.supervisor.watchdog_detects").inc(watchdog_detects);
+    reg.counter("dataplane.supervisor.watchdog_detects")
+        .inc(sup.watchdog_detects);
     reg.histogram("dataplane.supervisor.checkpoint_ns")
         .merge(sup.checkpoint_ns);
     reg.histogram("dataplane.supervisor.recovery_ns").merge(sup.recovery_ns);
-    reg.histogram("dataplane.supervisor.detect_ns").merge(watchdog_detect_ns);
+    reg.histogram("dataplane.supervisor.detect_ns").merge(sup.detect_ns);
   }
 }
 
@@ -938,11 +941,7 @@ DataplaneResult run_dataplane(const DataplaneConfig& config) {
   DataplaneResult result;
   result.wall_seconds = wall;
   result.balanced = true;
-  if (supervisor) {
-    supervisor->stop();
-    result.watchdog_detects = supervisor->detects();
-    result.watchdog_detect_ns = supervisor->detect_ns();
-  }
+  if (supervisor) supervisor->stop();
   for (auto& shard : shards) {
     ShardResult& r = shard->result;
     r.full_spins = shard->full_spins;

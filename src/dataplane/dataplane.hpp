@@ -200,10 +200,6 @@ struct DataplaneResult {
   double wall_seconds = 0.0;
   bool balanced = false;  ///< every port book balanced, residual 0
 
-  // Watchdog tallies (zero when supervision is disabled).
-  std::uint64_t watchdog_detects = 0;
-  obs::Log2Histogram watchdog_detect_ns;  ///< heartbeat age at detection
-
   PortBook book() const;  ///< sum over all shards
   SupervisionStats supervision() const;  ///< merged over all shards
   /// Packets fully carried through the pipeline per second of wall

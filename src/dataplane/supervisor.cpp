@@ -60,13 +60,12 @@ void ShardSupervisor::watchdog_loop() {
       const std::int64_t age = now - o.changed_at;
       if (age < config_.heartbeat_deadline_ns) continue;
       // Stall verdict. A spurious detect (worker descheduled, or idle
-      // with an empty ring) is harmless: healthy workers never read the
-      // kill flag, and the flag is cleared by the worker when it
-      // handles a real stall.
+      // with an empty ring) is harmless and uncounted: healthy workers
+      // never read the kill flag; a stalled worker clears it and
+      // records the detect with this age.
       o.flagged = true;
+      h.detect_age_ns.store(static_cast<std::uint64_t>(age));
       h.kill.store(true, std::memory_order_release);
-      detect_ns_.add(static_cast<std::uint64_t>(age));
-      detects_.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 }

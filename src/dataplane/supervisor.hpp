@@ -10,10 +10,13 @@
 // dataplane.cpp "supervised worker".
 //
 // Robustness notes:
-//   * a spurious detect (worker merely descheduled by the OS) is
-//     harmless: a healthy worker never reads the kill flag, and the
-//     watchdog re-arms only after it sees the heartbeat move again, so
-//     one stall episode records exactly one detect;
+//   * a spurious detect (worker merely descheduled by the OS, or idle)
+//     is harmless and uncounted: a healthy worker never reads the kill
+//     flag, so the one detect tally, SupervisionStats::watchdog_detects
+//     with its detect_ns, is kept by the worker when it acts on a kill
+//     inside a real stall. The watchdog hands the heartbeat age over
+//     in ShardHealth::detect_age_ns, and re-arms only after it sees the
+//     heartbeat move again, so one stall episode records one detect;
 //   * the watchdog owns its bookkeeping (last seen epoch, poll clock)
 //     privately; workers and watchdog share only the ShardHealth
 //     atomics.
@@ -66,12 +69,15 @@ struct SupervisionConfig {
 };
 
 /// Shared per-shard health cell. The worker writes heartbeat/done; the
-/// watchdog writes kill. Padded so no two shards (and no worker +
-/// watchdog pair) false-share.
+/// watchdog writes detect_age_ns, then kill. Padded so no two shards
+/// (and no worker + watchdog pair) false-share.
 struct alignas(kCacheLine) ShardHealth {
   std::atomic<std::uint64_t> heartbeat{0};  ///< worker: one bump per burst
   std::atomic<bool> done{false};            ///< worker exited its loop
   std::atomic<bool> kill{false};            ///< watchdog: stall verdict
+  /// Watchdog: heartbeat age at the verdict `kill` carries (stored
+  /// before `kill`).
+  std::atomic<std::uint64_t> detect_age_ns{0};
 };
 
 /// Per-shard supervision tallies, merged into ShardResult after join.
@@ -84,10 +90,10 @@ struct SupervisionStats {
   std::uint64_t poison_faults = 0; ///< faults attributed to poison packets
   std::uint64_t quarantined = 0;   ///< packets isolated
   std::uint64_t desyncs = 0;       ///< ring desyncs detected
-  std::uint64_t watchdog_detects = 0;
+  std::uint64_t watchdog_detects = 0;  ///< kill verdicts a stall acted on
   obs::Log2Histogram checkpoint_ns;  ///< cost per checkpoint
   obs::Log2Histogram recovery_ns;    ///< restore-to-running latency
-  obs::Log2Histogram detect_ns;      ///< heartbeat-age at detection
+  obs::Log2Histogram detect_ns;      ///< heartbeat-age at each detect
 
   void merge(const SupervisionStats& o) {
     checkpoints += o.checkpoints;
@@ -128,21 +134,12 @@ class ShardSupervisor {
                       std::memory_order_relaxed);
   }
 
-  std::uint64_t detects() const {
-    return detects_.load(std::memory_order_acquire);
-  }
-  /// Heartbeat age at each detection. Read after stop() only (the
-  /// watchdog thread is the sole writer while running).
-  const obs::Log2Histogram& detect_ns() const { return detect_ns_; }
-
  private:
   void watchdog_loop();
 
   const SupervisionConfig config_;
   std::vector<ShardHealth> cells_;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> detects_{0};
-  obs::Log2Histogram detect_ns_;  ///< watchdog-thread private while running
   std::thread watchdog_;
 };
 

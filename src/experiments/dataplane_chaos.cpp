@@ -201,7 +201,7 @@ DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config) {
   out.crashes = sup.crashes;
   out.poison_faults = sup.poison_faults;
   out.desyncs = sup.desyncs;
-  out.watchdog_detects = chaotic.watchdog_detects;
+  out.watchdog_detects = sup.watchdog_detects;
   out.loss_bound = config.base.ring_capacity + config.base.batch;
 
   std::uint64_t itemized = 0;

@@ -112,14 +112,14 @@ struct DataplaneChaosSweepConfig {
 /// Fan the grid across cores, write per-cell artifacts plus
 /// dpchaos_summary.json, and return the cells in grid order (kinds
 /// outer, seeds inner). Every verdict is the same for every --jobs
-/// value, and so is the summary row of a stall, crash or poison cell
-/// bar `watchdog_detects`, which also counts a worker descheduled or
-/// idle past the heartbeat deadline (a harmless detect, see
-/// dataplane/supervisor.hpp). The artifacts carry run-dependent
-/// fields: trace.json's `ts` and `dur`, and in metrics.json `pps`,
-/// `wall_seconds`, `checkpoint_ns`, `recovery_ns` and `detect_ns`
-/// (wall clock) and `empty_polls`, `full_spins`, `ring_occupancy` and
-/// `watchdog_detects` (thread timing). A drain recovery (desync,
+/// value, and so is the whole summary row of a stall, crash or poison
+/// cell: `watchdog_detects` counts only the kill verdicts a stalled
+/// worker acted on, never a worker descheduled or idle past the
+/// heartbeat deadline (see dataplane/supervisor.hpp). The artifacts
+/// carry run-dependent fields: trace.json's `ts` and `dur`, and in
+/// metrics.json `pps`, `wall_seconds`, `checkpoint_ns`, `recovery_ns`
+/// and `detect_ns` (wall clock) and `empty_polls`, `full_spins` and
+/// `ring_occupancy` (thread timing). A drain recovery (desync,
 /// random) loses whatever was in flight when it hit, so those cells'
 /// books and summary counts (`processed`, `lost_in_flight`,
 /// `checkpoints`, `max_lost_per_recovery`) vary from run to run as

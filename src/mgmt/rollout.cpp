@@ -196,6 +196,7 @@ ProbeResult RolloutEngine::probe_switch(
     r.victim_p99 = victim_drains[std::min(at, victim_drains.size()) - 1];
   }
 
+  r.drain_time = clock;
   const auto& c = port->counters();
   r.balanced = port->empty() && c.enqueued == c.dequeued + c.dropped &&
                c.enqueued + c.dropped >= offered;
@@ -311,12 +312,9 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
     wr.cohort = waves[w];
     std::string err;
     bool committed = false;
-    while (wr.attempts <= config_.wave_retry_budget) {
+    while (!committed && wr.attempts <= config_.wave_retry_budget) {
       ++wr.attempts;
-      if (cp_.commit_wave(wr.cohort, now, &err)) {
-        committed = true;
-        break;
-      }
+      committed = cp_.commit_wave(wr.cohort, now, &err);
       now += config_.retry_interval;
     }
     wr.committed = committed;
@@ -335,6 +333,7 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
       wr.probe_pass = true;
       for (const std::size_t idx : wr.cohort) {
         ProbeResult pr = probe_switch(idx);
+        now += pr.drain_time;
         rep.epoch_mismatch_packets += pr.epoch_mismatches;
         rep.probes.push_back(pr);
         if (!pr.pass) {
@@ -351,9 +350,9 @@ RolloutReport RolloutEngine::rollout(std::uint64_t version_id,
 
   rep.switches_touched = fleet.staged_switches();
   std::string err;
-  if (!cp_.finalize_staged(&err)) {
-    return abort_rollout("finalize failed: " + err);
-  }
+  const bool finalized = cp_.finalize_staged(&err);
+  now += config_.retry_interval;
+  if (!finalized) return abort_rollout("finalize failed: " + err);
   trace("rollout:finalize", now, "epoch", rep.staged_epoch);
   rep.outcome = RolloutOutcome::kCommitted;
   rep.converged = fleet.epochs_consistent();

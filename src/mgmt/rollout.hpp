@@ -24,10 +24,15 @@
 // and zero epoch mismatches. The abort path is the contract the
 // rollout chaos harness exists to break.
 //
-// No wall-clock anywhere: `now` is simulated time advanced by the
-// caller, probes run on a virtual drain clock, and the probe workload
-// is seeded — the same rollout against the same fleet replays
-// identically.
+// No wall-clock anywhere: `now` is simulated time, probes run on a
+// virtual drain clock, and the probe workload is seeded — the same
+// rollout against the same fleet replays identically. The engine's
+// clock rule: every commit attempt (each try of a wave commit, and the
+// final epoch flip) costs one `retry_interval` whether or not it fails,
+// every probe advances `now` by the virtual time its drain took, and
+// every heal pass costs one `heal_interval`. A trace instant carries
+// the `now` at which its step completed, so a rollout's stage, wave,
+// probe and finalize instants are ordered in time.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +71,7 @@ struct RolloutConfig {
   std::size_t wave_size = 32;  ///< subsequent waves
   /// Re-attempts of a failed wave commit before the rollout aborts.
   std::size_t wave_retry_budget = 2;
-  TimeNs retry_interval = 1'000'000;  ///< simulated ns between attempts
+  TimeNs retry_interval = 1'000'000;  ///< simulated ns per commit attempt
   /// reconcile() passes the abort path may take to converge; exceeding
   /// it marks the rollout NOT converged (the contract violation).
   std::size_t heal_budget = 8;
@@ -87,6 +92,7 @@ struct ProbeResult {
   TimeNs victim_p99 = 0;
   bool balanced = false;
   std::uint64_t epoch_mismatches = 0;
+  TimeNs drain_time = 0;  ///< virtual time the drain took
 };
 
 struct WaveRecord {
@@ -153,8 +159,8 @@ class RolloutEngine {
                 RolloutConfig config = {});
 
   /// Roll policy version `version_id` out to the whole fleet. `now` is
-  /// simulated time; the engine advances it internally by
-  /// retry/heal intervals. Preconditions: the version is an accepted
+  /// simulated time at the start; the engine advances it by the clock
+  /// rule in the header comment. Preconditions: the version is an accepted
   /// policy document, and a policy LKG exists whose plan the fleet
   /// currently runs (the baseline the abort path returns to).
   RolloutReport rollout(std::uint64_t version_id, TimeNs now = 0);

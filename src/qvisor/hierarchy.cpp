@@ -1,9 +1,7 @@
 #include "qvisor/hierarchy.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <sstream>
 #include <unordered_map>
 
@@ -72,22 +70,8 @@ TreeCompileResult TreeCompiler::compile(
     const PolicyExpr& expr, const std::vector<TenantSpec>& tenants) const {
   TreeCompileResult result;
 
-  const auto names = expr.tenant_names();
-  std::set<std::string> in_expr(names.begin(), names.end());
-  std::set<std::string> in_specs;
-  for (const auto& spec : tenants) in_specs.insert(spec.name);
-  for (const auto& name : names) {
-    if (!in_specs.count(name)) {
-      result.error = "policy mentions unknown tenant: " + name;
-      return result;
-    }
-  }
-  for (const auto& spec : tenants) {
-    if (!in_expr.count(spec.name)) {
-      result.error = "tenant not mentioned in policy: " + spec.name;
-      return result;
-    }
-  }
+  result.error = match_tenant_names(expr.tenant_names(), tenants);
+  if (!result.error.empty()) return result;
 
   sched::PifoTreeSpec spec;
   std::size_t next_leaf = 0;
@@ -123,84 +107,28 @@ std::unique_ptr<sched::Scheduler> make_tree_scheduler(
 
 namespace {
 
-struct FlattenContext {
-  const std::unordered_map<std::string, const TenantSpec*>& specs;
-  std::uint32_t levels;
-  std::uint32_t bias;
-  std::vector<TenantPlan>& out;
-  std::vector<std::string>& approximations;
-};
-
-/// Allocate `expr` into the band starting at `base`; returns the band
-/// width consumed. `depth_tier` tracks the top-level isolate child the
-/// subtree belongs to (for TenantPlan::tier / tier_bands).
-Rank allocate(const PolicyExpr& expr, Rank base, std::size_t tier,
-              FlattenContext& ctx) {
-  switch (expr.kind) {
-    case PolicyExpr::Kind::kTenant: {
-      const TenantSpec& spec = *ctx.specs.at(expr.tenant);
-      TenantPlan plan;
-      plan.tenant = spec.id;
-      plan.name = spec.name;
-      plan.tier = tier;
-      plan.transform =
-          RankTransform(spec.declared_bounds, ctx.levels, base);
-      ctx.out.push_back(std::move(plan));
-      if (expr.weight != 1.0) {
-        ctx.approximations.push_back(
-            "weight of tenant '" + expr.tenant +
-            "' ignored by flattening (single PIFO cannot weight shares; "
-            "deploy on a PIFO tree to honour it)");
-      }
-      return ctx.levels;
-    }
-    case PolicyExpr::Kind::kIsolate: {
-      Rank offset = 0;
-      for (const auto& child : expr.children) {
-        offset += allocate(child, base + offset, tier, ctx);
-      }
-      return offset;
-    }
-    case PolicyExpr::Kind::kPrefer: {
-      Rank width = 0;
-      for (std::size_t i = 0; i < expr.children.size(); ++i) {
-        const Rank child_base =
-            base + ctx.bias * static_cast<Rank>(i);
-        const Rank child_width =
-            allocate(expr.children[i], child_base, tier, ctx);
-        width = std::max(width,
-                         ctx.bias * static_cast<Rank>(i) + child_width);
-      }
-      return width;
-    }
-    case PolicyExpr::Kind::kShare: {
-      Rank width = 0;
-      bool nested = false;
-      for (const auto& child : expr.children) {
-        width = std::max(width, allocate(child, base, tier, ctx));
-        if (!child.is_leaf()) nested = true;
-      }
-      if (nested) {
-        ctx.approximations.push_back(
-            "nested structure inside a '+' group flattened onto one "
-            "shared band: its internal ordering now competes with the "
-            "other sharers' ranks instead of being served as a unit");
-      }
-      return width;
-    }
+/// What a single rank space cannot express, in walk order: weights, and
+/// nested structure inside a '+' group.
+void report_losses(const PolicyExpr& expr, std::vector<std::string>& out) {
+  if (expr.weight != 1.0) {
+    out.push_back("weight of " +
+                  (expr.is_leaf() ? "tenant '" + expr.tenant + "'"
+                                  : "'" + expr.to_string() + "'") +
+                  " ignored by flattening (single PIFO cannot weight "
+                  "shares; deploy on a PIFO tree to honour it)");
   }
-  return 0;
-}
-
-/// Width the allocation would take, without emitting plans.
-Rank dry_run_width(const PolicyExpr& expr, std::uint32_t levels,
-                   std::uint32_t bias,
-                   const std::unordered_map<std::string, const TenantSpec*>&
-                       specs) {
-  std::vector<TenantPlan> scratch;
-  std::vector<std::string> notes;
-  FlattenContext ctx{specs, levels, bias, scratch, notes};
-  return allocate(expr, 0, 0, ctx);
+  if (expr.is_leaf()) return;
+  bool nested = false;
+  for (const auto& child : expr.children) {
+    report_losses(child, out);
+    nested = nested || !child.is_leaf();
+  }
+  if (expr.kind == PolicyExpr::Kind::kShare && nested) {
+    out.push_back(
+        "nested structure inside a '+' group flattened onto one shared "
+        "band: its internal ordering now competes with the other sharers' "
+        "ranks instead of being served as a unit");
+  }
 }
 
 }  // namespace
@@ -209,60 +137,21 @@ FlattenResult flatten_to_plan(const PolicyExpr& expr,
                               const std::vector<TenantSpec>& tenants,
                               const SynthesizerConfig& config) {
   FlattenResult result;
-
-  std::unordered_map<std::string, const TenantSpec*> specs;
-  for (const auto& spec : tenants) specs[spec.name] = &spec;
-  for (const auto& name : expr.tenant_names()) {
-    if (!specs.count(name)) {
-      result.error = "policy mentions unknown tenant: " + name;
-      return result;
-    }
-  }
-
-  std::uint32_t levels = std::max<std::uint32_t>(config.levels_per_group, 1);
-  const auto bias_for = [&](std::uint32_t lv) {
-    return config.pref_bias != 0 ? config.pref_bias
-                                 : std::max<std::uint32_t>(lv / 4, 1);
-  };
-  // Shrink quantization until the layout fits the rank space.
-  while (levels > 1 &&
-         dry_run_width(expr, levels, bias_for(levels), specs) >
-             config.rank_space) {
-    levels /= 2;
-  }
-  if (dry_run_width(expr, levels, bias_for(levels), specs) >
-      config.rank_space) {
-    result.error = "hierarchical policy does not fit the rank space";
+  auto laid = Synthesizer(config).lay_out(tenants, expr);
+  if (!laid.ok()) {
+    result.error = std::move(laid.error);
     return result;
   }
-  if (levels != std::max<std::uint32_t>(config.levels_per_group, 1)) {
-    result.approximations.push_back(
-        "quantization degraded to " + std::to_string(levels) +
-        " levels per band to fit the rank space");
-  }
-
-  SynthesisPlan plan;
-  plan.rank_space = config.rank_space;
-
-  // Top-level isolate children become the plan's tiers (used by the
-  // strict-priority backend's dedicated-queue split).
-  std::vector<const PolicyExpr*> tiers;
-  if (expr.kind == PolicyExpr::Kind::kIsolate) {
-    for (const auto& child : expr.children) tiers.push_back(&child);
-  } else {
-    tiers.push_back(&expr);
-  }
-  Rank base = 0;
-  FlattenContext ctx{specs, levels, bias_for(levels), plan.tenants,
-                     result.approximations};
-  for (std::size_t t = 0; t < tiers.size(); ++t) {
-    const Rank width = allocate(*tiers[t], base, t, ctx);
-    plan.tier_bands.push_back(TierBand{base, base + width - 1});
-    base += width;
-  }
+  SynthesisPlan& plan = *laid.plan;
+  if (plan.degraded) result.approximations.push_back(plan.notes.front());
+  const std::size_t walk_notes = result.approximations.size();
+  report_losses(expr, result.approximations);
+  plan.notes.insert(plan.notes.end(),
+                    result.approximations.begin() + walk_notes,
+                    result.approximations.end());
   plan.degraded = !result.approximations.empty();
-  plan.notes = result.approximations;
-  result.plan = std::move(plan);
+  if (auto flat = to_flat_policy(expr)) plan.policy = std::move(*flat);
+  result.plan = std::move(laid.plan);
   return result;
 }
 

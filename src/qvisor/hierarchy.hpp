@@ -8,11 +8,16 @@
 //    the tree itself virtualizes the scheduler.
 //
 //  * APPROXIMATELY, flattened onto a single rank space for commodity
-//    PIFO/SP-PIFO hardware: nested structure is projected onto band
-//    allocation, and everything the projection loses is reported in
+//    PIFO/SP-PIFO hardware: the synthesizer's one band-layout walk
+//    (Synthesizer::lay_out) composes `>>`, `>` and `+` at every depth,
+//    and everything the projection loses is reported in
 //    `approximations` — the paper's §5 vision of a synthesizer that
 //    "would not just fail ... but propose partial specifications
 //    implementable on the available resources".
+//
+// Both deployments share the synthesizer's name check
+// (match_tenant_names): the specs and the expression name the same
+// tenants, each once.
 #pragma once
 
 #include <map>
@@ -69,7 +74,14 @@ struct FlattenResult {
   bool ok() const { return plan.has_value(); }
 };
 
-/// Project a hierarchical expression onto a single-PIFO synthesis plan.
+/// Project a hierarchical expression onto a single-PIFO synthesis plan
+/// with Synthesizer::lay_out: a flat expression gets exactly the
+/// synthesizer's plan. Positions follow the flat language's strata:
+/// `tier` is the top-level `>>` part holding the tenant, `group` that
+/// tier's `>` part, `index_in_group` its place among the group's
+/// tenants. `approximations` lists a degraded quantization and what
+/// flattening loses (weights, nesting inside `+`); any approximation
+/// marks the plan degraded, and the losses join its notes.
 FlattenResult flatten_to_plan(const PolicyExpr& expr,
                               const std::vector<TenantSpec>& tenants,
                               const SynthesizerConfig& config = {});

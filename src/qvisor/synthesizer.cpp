@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <ranges>
 #include <sstream>
+#include <string_view>
 
 namespace qv::qvisor {
 
@@ -36,177 +37,180 @@ Rank SynthesisPlan::used_rank_space() const {
   return used;
 }
 
+std::string match_tenant_names(const std::vector<std::string>& policy_names,
+                               const std::vector<TenantSpec>& tenants,
+                               std::vector<const TenantSpec*>* matched) {
+  std::map<std::string_view, std::size_t> index;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    if (tenants[i].name.empty()) return "tenant with empty name";
+    if (!index.emplace(tenants[i].name, i).second) {
+      return "duplicate tenant spec: " + tenants[i].name;
+    }
+  }
+  std::vector<bool> named(tenants.size(), false);
+  for (const auto& name : policy_names) {
+    const auto it = index.find(name);
+    if (it == index.end()) return "policy mentions unknown tenant: " + name;
+    named[it->second] = true;
+    if (matched != nullptr) matched->push_back(&tenants[it->second]);
+  }
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    if (!named[i]) {
+      return "tenant not mentioned in policy: " + tenants[i].name +
+             " (restrict the spec set or extend the policy)";
+    }
+  }
+  return "";
+}
+
 Synthesizer::Synthesizer(SynthesizerConfig config) : config_(config) {}
 
 namespace {
 
-Synthesizer::Result fail(std::string message) {
-  Synthesizer::Result r;
-  r.error = std::move(message);
-  return r;
-}
+using Kind = PolicyExpr::Kind;
 
-/// Width (in rank levels) one tier occupies for a given quantization.
-std::uint64_t tier_width(const PriorityTier& tier, std::uint32_t levels,
-                         std::uint32_t bias, std::uint32_t stagger) {
-  std::uint64_t width = 0;
-  for (std::size_t g = 0; g < tier.groups.size(); ++g) {
-    const auto n = static_cast<std::uint64_t>(tier.groups[g].tenants.size());
-    const std::uint64_t group_width =
-        levels + stagger * (n > 0 ? n - 1 : 0);
-    width = std::max(width, static_cast<std::uint64_t>(bias) * g +
-                                group_width);
-  }
-  return width;
-}
+/// The strata of the §3.1 language, outermost first: a top-level `>>`
+/// splits tiers, a tier's `>` splits groups, a group's `+` splits its
+/// members. Whatever lies inside a member is nested structure.
+enum Stratum : int { kTiers, kGroups, kMembers, kNested };
+constexpr Kind kSplitBy[] = {Kind::kIsolate, Kind::kPrefer, Kind::kShare};
 
-std::uint64_t total_width(const OperatorPolicy& policy, std::uint32_t levels,
-                          std::uint32_t bias, std::uint32_t stagger) {
-  std::uint64_t total = 0;
-  for (const auto& tier : policy.tiers()) {
-    total += tier_width(tier, levels, bias, stagger);
+/// One pass of the band layout at a fixed quantization. With no plan it
+/// only measures the width the layout takes; with one it also emits the
+/// tenant transforms, tier bands and notes.
+struct LayoutWalk {
+  std::uint32_t levels;
+  std::uint32_t bias;
+  std::uint32_t stagger;
+  const std::vector<const TenantSpec*>& specs;  ///< one per leaf, in order
+  SynthesisPlan* plan;
+  std::size_t tier = 0;
+  std::size_t group = 0;
+  std::size_t member = 0;
+
+  /// Lay `e` out from `base` as part of stratum `s`; returns its width.
+  /// `>>` stacks its parts, `>` offsets part i by i * bias and `+` by
+  /// i * stagger; a leaf takes one band of `levels`.
+  std::uint64_t place(const PolicyExpr& e, std::uint64_t base, int s) {
+    if (s == kNested && e.is_leaf()) {
+      if (plan != nullptr) emit(base);
+      return levels;
+    }
+    // A node that does not split its stratum is that stratum's only
+    // part: in "a >> b + c", "a" is tier 0's only group.
+    const bool splits = s == kNested || e.kind == kSplitBy[s];
+    const Kind op = splits ? e.kind : kSplitBy[s];
+    const std::size_t parts = splits ? e.children.size() : 1;
+    const std::uint64_t step = op == Kind::kPrefer ? bias : stagger;
+    std::uint64_t width = 0;
+    for (std::size_t i = 0; i < parts; ++i) {
+      if (s == kTiers) tier = i;
+      if (s == kGroups) {
+        group = i;
+        member = 0;
+      }
+      const std::uint64_t offset = op == Kind::kIsolate ? width : step * i;
+      const std::uint64_t w = place(splits ? e.children[i] : e, base + offset,
+                                    std::min<int>(s + 1, kNested));
+      width = op == Kind::kIsolate ? width + w : std::max(width, offset + w);
+      if (plan != nullptr && s < kMembers) {
+        close_part(s, i + 1 == parts, base + offset, w);
+      }
+    }
+    if (plan != nullptr && s == kMembers && parts > 1) {
+      std::ostringstream note;
+      note << "tier " << tier << " group " << group << ": " << e.to_string()
+           << " share a " << levels << "-level band fairly";
+      plan->notes.push_back(note.str());
+    }
+    return width;
   }
-  return total;
-}
+
+  void emit(std::uint64_t base) {
+    const TenantSpec& spec = *specs[plan->tenants.size()];
+    TenantPlan tp;
+    tp.tenant = spec.id;
+    tp.name = spec.name;
+    tp.tier = tier;
+    tp.group = group;
+    tp.index_in_group = member++;
+    tp.transform = RankTransform(spec.declared_bounds, levels,
+                                 static_cast<Rank>(base), /*stride=*/1);
+    plan->tenants.push_back(std::move(tp));
+  }
+
+  /// A tier's band and, between parts, the '>>' or '>' guarantee.
+  void close_part(int s, bool last, std::uint64_t base, std::uint64_t w) {
+    const auto lo = static_cast<Rank>(base);
+    const auto hi = static_cast<Rank>(base + w - 1);
+    if (s == kTiers) plan->tier_bands.push_back(TierBand{lo, hi});
+    if (last) return;
+    std::ostringstream note;
+    if (s == kTiers) {
+      note << "tier " << tier << " strictly isolated above tier " << tier + 1
+           << " (bands [" << lo << "," << hi << "] < [" << hi + 1
+           << ", ...])";
+    } else {
+      note << "tier " << tier << ": group " << group
+           << " preferred over group " << group + 1 << " (bias " << bias
+           << " of " << levels << " levels, best-effort)";
+    }
+    plan->notes.push_back(note.str());
+  }
+};
 
 }  // namespace
+
+Synthesizer::Result Synthesizer::lay_out(
+    const std::vector<TenantSpec>& tenants, const PolicyExpr& expr) const {
+  const std::vector<std::string> names = expr.tenant_names();
+  if (names.empty()) return {std::nullopt, "empty operator policy"};
+  if (config_.rank_space == 0) return {std::nullopt, "rank space is empty"};
+  std::vector<const TenantSpec*> specs;
+  std::string error = match_tenant_names(names, tenants, &specs);
+  if (!error.empty()) return {std::nullopt, std::move(error)};
+
+  const auto walk = [&](std::uint32_t levels, SynthesisPlan* plan) {
+    const std::uint32_t bias = config_.pref_bias != 0
+                                   ? config_.pref_bias
+                                   : std::max<std::uint32_t>(levels / 4, 1);
+    return LayoutWalk{levels, bias, config_.share_stagger, specs, plan}
+        .place(expr, 0, kTiers);
+  };
+  const auto fits = [&](std::uint64_t levels) {
+    return walk(static_cast<std::uint32_t>(levels), nullptr) <=
+           config_.rank_space;
+  };
+  SynthesisPlan plan;
+  plan.rank_space = config_.rank_space;
+  std::uint32_t levels = std::max<std::uint32_t>(config_.levels_per_group, 1);
+  if (!fits(levels)) {
+    // Degrade to the largest quantization that fits: the width grows
+    // with the level count, so the counts that fit are a prefix.
+    const std::uint64_t misfit = *std::ranges::partition_point(
+        std::views::iota(std::uint64_t{1}, std::uint64_t{levels} + 1), fits);
+    if (misfit == 1) {
+      return {std::nullopt,
+              "rank space too small even at 1 level per group (" +
+                  std::to_string(config_.rank_space) + " available)"};
+    }
+    levels = static_cast<std::uint32_t>(misfit - 1);
+    plan.degraded = true;
+    std::ostringstream note;
+    note << "degraded: quantization reduced from "
+         << config_.levels_per_group << " to " << levels
+         << " levels per group to fit rank space " << config_.rank_space;
+    plan.notes.push_back(note.str());
+  }
+  walk(levels, &plan);
+  return {std::move(plan), ""};
+}
 
 Synthesizer::Result Synthesizer::synthesize(
     const std::vector<TenantSpec>& tenants,
     const OperatorPolicy& policy) const {
-  if (policy.empty()) return fail("empty operator policy");
-  if (config_.rank_space == 0) return fail("rank space is empty");
-
-  // Match policy names to specs, both ways.
-  std::map<std::string, const TenantSpec*> by_name;
-  for (const auto& spec : tenants) {
-    if (spec.name.empty()) return fail("tenant with empty name");
-    if (!by_name.emplace(spec.name, &spec).second) {
-      return fail("duplicate tenant spec: " + spec.name);
-    }
-  }
-  const auto names = policy.tenant_names();
-  const std::set<std::string> in_policy(names.begin(), names.end());
-  for (const auto& name : names) {
-    if (!by_name.count(name)) {
-      return fail("policy mentions unknown tenant: " + name);
-    }
-  }
-  for (const auto& spec : tenants) {
-    if (!in_policy.count(spec.name)) {
-      return fail("tenant not mentioned in policy: " + spec.name +
-                  " (restrict the spec set or extend the policy)");
-    }
-  }
-
-  SynthesisPlan plan;
-  plan.policy = policy;
-  plan.rank_space = config_.rank_space;
-
-  // Pick the quantization. Start from the configured target; shrink if
-  // the layout overflows the rank space and degradation is allowed.
-  std::uint32_t levels = std::max<std::uint32_t>(config_.levels_per_group, 1);
-  auto bias_for = [&](std::uint32_t lv) {
-    return config_.pref_bias != 0 ? config_.pref_bias
-                                  : std::max<std::uint32_t>(lv / 4, 1);
-  };
-  const std::uint32_t stagger = config_.share_stagger;
-
-  std::uint64_t need =
-      total_width(policy, levels, bias_for(levels), stagger);
-  if (need > config_.rank_space) {
-    if (!config_.allow_degraded) {
-      return fail("policy needs " + std::to_string(need) +
-                  " rank levels but the backend offers " +
-                  std::to_string(config_.rank_space));
-    }
-    // Binary-search the largest quantization that fits.
-    std::uint32_t lo = 1;
-    std::uint32_t hi = levels;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo + 1) / 2;
-      if (total_width(policy, mid, bias_for(mid), stagger) <=
-          config_.rank_space) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    if (total_width(policy, lo, bias_for(lo), stagger) >
-        config_.rank_space) {
-      return fail("rank space too small even at 1 level per group (" +
-                  std::to_string(config_.rank_space) + " available)");
-    }
-    plan.degraded = true;
-    std::ostringstream note;
-    note << "degraded: quantization reduced from "
-         << config_.levels_per_group << " to " << lo
-         << " levels per group to fit rank space "
-         << config_.rank_space;
-    plan.notes.push_back(note.str());
-    levels = lo;
-  }
-  const std::uint32_t bias = bias_for(levels);
-
-  // Lay out tiers bottom-up in rank value (tier 0 = lowest ranks =
-  // highest priority) and emit per-tenant transforms.
-  Rank tier_base = 0;
-  const auto& tiers = policy.tiers();
-  for (std::size_t ti = 0; ti < tiers.size(); ++ti) {
-    const auto& tier = tiers[ti];
-    const auto width = static_cast<Rank>(
-        tier_width(tier, levels, bias, stagger));
-    plan.tier_bands.push_back(TierBand{tier_base, tier_base + width - 1});
-
-    for (std::size_t gi = 0; gi < tier.groups.size(); ++gi) {
-      const auto& group = tier.groups[gi];
-      const Rank group_base = tier_base + static_cast<Rank>(bias) *
-                                              static_cast<Rank>(gi);
-      for (std::size_t mi = 0; mi < group.tenants.size(); ++mi) {
-        const TenantSpec& spec = *by_name.at(group.tenants[mi]);
-        TenantPlan tp;
-        tp.tenant = spec.id;
-        tp.name = spec.name;
-        tp.tier = ti;
-        tp.group = gi;
-        tp.index_in_group = mi;
-        tp.transform = RankTransform(
-            spec.declared_bounds, levels,
-            group_base + static_cast<Rank>(stagger) * static_cast<Rank>(mi),
-            /*stride=*/1);
-        plan.tenants.push_back(std::move(tp));
-      }
-      if (group.tenants.size() > 1) {
-        std::ostringstream note;
-        note << "tier " << ti << " group " << gi << ": ";
-        for (std::size_t mi = 0; mi < group.tenants.size(); ++mi) {
-          if (mi > 0) note << " + ";
-          note << group.tenants[mi];
-        }
-        note << " share a " << levels << "-level band fairly";
-        plan.notes.push_back(note.str());
-      }
-      if (gi + 1 < tier.groups.size()) {
-        std::ostringstream note;
-        note << "tier " << ti << ": group " << gi
-             << " preferred over group " << gi + 1 << " (bias " << bias
-             << " of " << levels << " levels, best-effort)";
-        plan.notes.push_back(note.str());
-      }
-    }
-
-    if (ti + 1 < tiers.size()) {
-      std::ostringstream note;
-      note << "tier " << ti << " strictly isolated above tier " << ti + 1
-           << " (bands [" << tier_base << "," << tier_base + width - 1
-           << "] < [" << tier_base + width << ", ...])";
-      plan.notes.push_back(note.str());
-    }
-    tier_base += width;
-  }
-
-  Result r;
-  r.plan = std::move(plan);
+  Result r = lay_out(tenants, from_flat_policy(policy));
+  if (r.ok()) r.plan->policy = policy;
   return r;
 }
 

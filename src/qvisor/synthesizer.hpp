@@ -23,6 +23,12 @@
 //     tie-breaking interleaves them (§3.2 rank-normalization). An
 //     optional per-tenant stagger reproduces the exact interleave of
 //     the paper's Fig. 3.
+//
+// One walk (lay_out) applies the three rules over a PolicyExpr at any
+// depth: a flat policy is its from_flat_policy() expression, a nested
+// one is hierarchy.hpp's flatten_to_plan. A layout too wide for the rank
+// space degrades to the largest level count that fits, with a note (§5:
+// propose a partial specification rather than fail).
 #pragma once
 
 #include <optional>
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "qvisor/policy.hpp"
+#include "qvisor/policy_ast.hpp"
 #include "qvisor/tenant.hpp"
 #include "qvisor/transform.hpp"
 
@@ -53,11 +60,6 @@ struct SynthesizerConfig {
   /// sharing tenants on identical levels (FIFO tie-break interleaves);
   /// 1 reproduces the staggered interleave of the paper's Fig. 3.
   std::uint32_t share_stagger = 0;
-
-  /// When the requested layout does not fit `rank_space`, shrink the
-  /// quantization instead of failing (the paper's §5 "synthesis
-  /// approach": propose a partial specification rather than fail).
-  bool allow_degraded = true;
 };
 
 /// Where one tenant's transformed ranks land.
@@ -73,11 +75,13 @@ struct TenantPlan {
   /// same band (quantile_transform.hpp). When set, the pre-processor
   /// applies it instead of `transform`.
   std::optional<BreakpointTransform> quantile;
+  friend bool operator==(const TenantPlan&, const TenantPlan&) = default;
 };
 
 struct TierBand {
   Rank lo = 0;
   Rank hi = 0;  ///< inclusive
+  friend bool operator==(const TierBand&, const TierBand&) = default;
 };
 
 /// The joint scheduling function, ready for the pre-processor.
@@ -101,7 +105,20 @@ struct SynthesisPlan {
   /// from this — post-synthesis it is small even when the hardware
   /// rank space is huge. 0 when the plan is empty.
   Rank used_rank_space() const;
+  friend bool operator==(const SynthesisPlan&,
+                         const SynthesisPlan&) = default;
 };
+
+/// The spec <-> policy name check every compile path shares
+/// (Synthesizer, flatten_to_plan, TreeCompiler): spec names are
+/// non-empty and unique, every name the policy mentions has a spec, and
+/// every spec is mentioned. Returns the error, empty when the names
+/// match; `matched`, when given, receives each policy name's spec in
+/// policy order.
+std::string match_tenant_names(const std::vector<std::string>& policy_names,
+                               const std::vector<TenantSpec>& tenants,
+                               std::vector<const TenantSpec*>* matched =
+                                   nullptr);
 
 class Synthesizer {
  public:
@@ -119,6 +136,12 @@ class Synthesizer {
   /// are an error (restrict the policy first, or mention them).
   Result synthesize(const std::vector<TenantSpec>& tenants,
                     const OperatorPolicy& policy) const;
+
+  /// The band layout itself, over any expression: tenant transforms,
+  /// tier bands, tier/group/index_in_group and notes. `plan.policy` is
+  /// left empty for the caller to fill.
+  Result lay_out(const std::vector<TenantSpec>& tenants,
+                 const PolicyExpr& expr) const;
 
   const SynthesizerConfig& config() const { return config_; }
 

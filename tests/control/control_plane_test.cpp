@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -365,6 +366,96 @@ TEST_F(ControlPlaneTest, QuarantineMembershipChangesAreIncremental) {
   ASSERT_TRUE(none.ok) << none.error;
   EXPECT_FALSE(none.incremental);
   EXPECT_EQ(cp_.deployed()->group_count(), 3u);
+}
+
+// kBase with silver's rank bounds widened: one group's transform moves,
+// the group count and membership stay.
+constexpr const char* kSilverEdit =
+    "group gold   = 0..9 bounds 0..99\n"
+    "group silver = 10..19 bounds 0..999\n"
+    "group bulk   = * bounds 0..99\n"
+    "policy gold >> silver + bulk\n";
+
+/// One packet per (id, rank) through `port`, drained: the dequeue order
+/// as (tenant, original rank, rewritten rank).
+std::vector<std::tuple<TenantId, Rank, Rank>> drain_ranks(
+    sched::Scheduler& port) {
+  // Gold, silver, the catch-all, and a catch-all id past the dense index.
+  for (const TenantId id : {3u, 12u, 500u, GroupIndex::kDenseLimit + 7}) {
+    for (const Rank rank : {0u, 40u, 99u}) {
+      EXPECT_TRUE(port.enqueue(labeled(id, rank), 0));
+    }
+  }
+  std::vector<std::tuple<TenantId, Rank, Rank>> out;
+  while (auto p = port.dequeue(0)) {
+    out.emplace_back(p->tenant, p->original_rank, p->rank);
+  }
+  return out;
+}
+
+TEST_F(ControlPlaneTest, IncrementalInstallOnALivePortRanksLikeAFullInstall) {
+  ASSERT_TRUE(cp_.deploy_text(kBase).ok);
+  // The port exists before the edit, so the edit reaches it through the
+  // per-port delta path, not the port constructor's full install.
+  auto port = fleet_.make_port_scheduler(0);
+  const auto r = cp_.deploy_text(kSilverEdit);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(r.incremental);
+  EXPECT_EQ(r.delta.changed_groups, (std::vector<std::uint32_t>{1}));
+
+  // Reference: the same text installed whole onto a live port.
+  Fleet ref_fleet({}, qvisor::OperatorPolicy{},
+                  std::make_shared<qvisor::PifoBackend>());
+  ref_fleet.add_switch("ref");
+  ControlPlane ref(ref_fleet);
+  ASSERT_TRUE(ref.deploy_text(kBase).ok);
+  auto ref_port = ref_fleet.make_port_scheduler(0);
+  const auto edit = parse_grouped_policy(kSilverEdit);
+  ASSERT_TRUE(edit.ok()) << edit.error;
+  const auto full = ref.deploy_full(*edit.value);
+  ASSERT_TRUE(full.ok) << full.error;
+  ASSERT_FALSE(full.incremental);
+
+  const auto got = drain_ranks(*port);
+  EXPECT_EQ(got.size(), 12u);
+  EXPECT_EQ(got, drain_ranks(*ref_port));
+}
+
+TEST_F(ControlPlaneTest, GroupDeltaOnAPerTenantPortInstallsInFull) {
+  // A port whose pre-processor runs a per-tenant plan has no group
+  // table to patch: the delta falls back to a full group install.
+  qvisor::TenantSpec only;
+  only.id = 1;
+  only.name = "only";
+  only.declared_bounds = {0, 99};
+  Hypervisor hv({only}, *qvisor::parse_policy("only").policy,
+                std::make_shared<qvisor::PifoBackend>());
+  ASSERT_TRUE(hv.compile().ok);
+  auto port = hv.make_port_scheduler();
+  auto* qp = dynamic_cast<qvisor::QvisorPort*>(port.get());
+  ASSERT_NE(qp, nullptr);
+  ASSERT_FALSE(qp->preprocessor().group_mode());
+
+  const GroupCompiler compiler;
+  const auto base = compiler.compile_text(kBase);
+  const auto edit = compiler.compile_text(kSilverEdit);
+  ASSERT_TRUE(base.ok() && edit.ok());
+  const GroupPlanDelta delta = diff_group_plans(*base.plan, *edit.plan);
+  ASSERT_FALSE(delta.full);
+  qp->apply_group_delta(*edit.plan, delta, /*epoch=*/7);
+  EXPECT_TRUE(qp->preprocessor().group_mode());
+  EXPECT_EQ(qp->installed_epoch(), 7u);
+
+  // Same rewrites as a port that took the edit whole (the per-tenant
+  // port's hardware queue was sized for the old plan, so compare the
+  // rewrites, not the dequeue order).
+  ASSERT_TRUE(cp_.deploy_text(kSilverEdit).ok);
+  auto ref_port = fleet_.make_port_scheduler(0);
+  auto got = drain_ranks(*port);
+  auto want = drain_ranks(*ref_port);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(ControlPlaneTest, QuarantineRequiresADeployedPolicy) {

@@ -123,10 +123,9 @@ TEST(GroupCompiler, CompileTextReportsBothStages) {
   EXPECT_FALSE(parse_err.ok());
   EXPECT_NE(parse_err.error.find("parse:"), std::string::npos)
       << parse_err.error;
-  // Valid grammar, impossible layout: 3 isolation tiers in 4 ranks.
+  // Valid grammar, impossible layout: 3 isolation tiers in 2 ranks.
   qvisor::SynthesizerConfig tiny;
-  tiny.rank_space = 4;
-  tiny.allow_degraded = false;
+  tiny.rank_space = 2;
   const auto synth_err = GroupCompiler(tiny).compile_text(
       "group a = 0..9\ngroup b = 10..19\ngroup c = 20..29\n"
       "policy a >> b >> c\n");

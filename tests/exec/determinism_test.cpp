@@ -99,10 +99,8 @@ std::optional<std::string> rollout_without_latency(const std::string& name,
 }
 
 // dataplane_chaos: shards are real threads, so of all its artifacts
-// only the summary's verdicts are fixed, plus the row of a stall, crash
-// or poison cell bar `watchdog_detects`, which also counts a worker
-// descheduled past the heartbeat deadline (see
-// experiments/dataplane_chaos.hpp).
+// only the summary's verdicts are fixed, plus the whole row of a stall,
+// crash or poison cell (see experiments/dataplane_chaos.hpp).
 std::optional<std::string> dpchaos_verdicts(const std::string& name,
                                             std::string bytes) {
   if (!name.ends_with("_summary.json")) return std::nullopt;
@@ -112,7 +110,6 @@ std::optional<std::string> dpchaos_verdicts(const std::string& name,
   for (mgmt::JsonValue row : doc.value->find("grid")->as_array()) {
     const std::string kind = row.find("kind")->as_string();
     if (kind == "stall" || kind == "crash" || kind == "poison") {
-      row.as_object().erase("watchdog_detects");
       out += row.dump();
     } else {
       out += kind + " s" + std::to_string(row.find("seed")->as_int());

@@ -7,6 +7,11 @@
 //   canonical round-trip                  to_string -> reparse -> equal
 //   flat <-> expression round-trip        to_flat_policy / from_flat_policy
 //   synthesis (<= 64 tenants)             plan construction at fuzzed names
+//   flattening (<= 64 tenants)            the same band layout over any
+//                                         expression: one plan per tenant,
+//                                         the analyzer's range/monotonicity/
+//                                         tier-isolation checks, and a flat
+//                                         expression's plan == synthesize's
 //   static analysis of the plan           worst-case checks on the result
 //   parse_grouped_policy (ISSUE 7)        group syntax round-trip + the
 //                                         compiled index/table invariants
@@ -25,6 +30,7 @@
 
 #include "control/group_compiler.hpp"
 #include "control/group_policy.hpp"
+#include "qvisor/hierarchy.hpp"
 #include "qvisor/policy.hpp"
 #include "qvisor/policy_ast.hpp"
 #include "qvisor/static_analysis.hpp"
@@ -159,25 +165,46 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
   check(again.ok(), "canonical expression failed to reparse");
   check(*again.expr == *expr.expr, "expression round-trip changed tree");
 
-  if (const auto as_flat = to_flat_policy(*expr.expr)) {
+  const auto as_flat = to_flat_policy(*expr.expr);
+  if (as_flat) {
     const PolicyExpr lifted = from_flat_policy(*as_flat);
     const auto reflat = to_flat_policy(lifted);
     check(reflat.has_value(), "lifted flat policy stopped being flat");
     check(*reflat == *as_flat, "flat<->expr round-trip changed policy");
+  }
 
-    // Synthesis + static analysis on anything of sane size. Both must
-    // terminate and never crash, whatever the fuzzer named the tenants.
-    const auto names = as_flat->tenant_names();
-    if (!names.empty() && names.size() <= 64) {
-      const auto specs = specs_for(names);
-      Synthesizer synth;
-      const auto result = synth.synthesize(specs, *as_flat);
-      if (result.ok()) {
-        StaticAnalyzer analyzer;
-        const auto report = analyzer.analyze(*result.plan, specs);
-        check(!report.has_violations(),
-              "synthesizer emitted a plan its own analyzer rejects");
-      }
+  // Layout + static analysis on anything of sane size. Both must
+  // terminate and never crash, whatever the fuzzer named the tenants.
+  const auto names = expr.expr->tenant_names();
+  if (names.empty() || names.size() > 64) return;
+  const auto specs = specs_for(names);
+  const FlattenResult flattened = flatten_to_plan(*expr.expr, specs);
+  if (!flattened.ok()) {
+    check(!flattened.error.empty(), "flattening failed without an error");
+  } else {
+    check(flattened.plan->tenants.size() == names.size(),
+          "flattened plan is not one TenantPlan per tenant");
+    for (const auto& name : names) {
+      check(flattened.plan->find(name) != nullptr,
+            "flattening lost a tenant");
+    }
+    const auto report = StaticAnalyzer().analyze(*flattened.plan, specs);
+    for (const auto& f : report.findings) {
+      check(f.severity != CheckSeverity::kViolation ||
+                (f.check != "range" && f.check != "monotonicity" &&
+                 f.check != "tier-isolation"),
+            "flattened plan fails a worst-case check");
+    }
+  }
+  if (as_flat) {
+    const auto result = Synthesizer().synthesize(specs, *as_flat);
+    check(result.ok() == flattened.ok(), "flattening and synthesis disagree");
+    if (result.ok()) {
+      check(*flattened.plan == *result.plan,
+            "flat expression flattened to a different plan");
+      const auto report = StaticAnalyzer().analyze(*result.plan, specs);
+      check(!report.has_violations(),
+            "synthesizer emitted a plan its own analyzer rejects");
     }
   }
 }

@@ -7,7 +7,9 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "obs/trace.hpp"
 #include "qvisor/backend.hpp"
 
 namespace qv::mgmt {
@@ -116,6 +118,36 @@ TEST_F(RolloutEngineTest, CleanRolloutCommitsAndMovesLkg) {
   EXPECT_EQ(rep.epoch_mismatch_packets, 0u);
   ASSERT_NE(cp_.current_policy(), nullptr);
   EXPECT_EQ(plan_fingerprint(*cp_.deployed()), rep.expected_fingerprint);
+}
+
+// The engine's clock rule (rollout.hpp): commit attempts, probes and
+// the final epoch flip each take simulated time, so the trace orders a
+// rollout's steps.
+TEST_F(RolloutEngineTest, TraceInstantsAdvanceThroughTheRollout) {
+  bootstrap();
+  obs::Tracer tracer;
+  tracer.enable_all();
+  const RolloutConfig config = small_waves();
+  RolloutEngine engine(cp_, store_, config);
+  engine.set_tracer(&tracer);
+  ASSERT_TRUE(engine.rollout(put_policy(kV2Good)).ok);
+
+  std::vector<std::string> names;
+  std::vector<TimeNs> ts;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.cat != obs::TraceCategory::kMgmt) continue;
+    names.emplace_back(e.name);
+    ts.push_back(e.ts);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "rollout:stage", "rollout:wave", "rollout:wave",
+                       "rollout:wave", "rollout:finalize"}));
+  for (std::size_t i = 1; i < ts.size(); ++i) {
+    EXPECT_LT(ts[i - 1], ts[i]) << names[i];
+  }
+  // Wave 1 follows wave 0's canary probes, which drain for a while.
+  ASSERT_EQ(ts.size(), 5u);
+  EXPECT_GT(ts[2] - ts[1], config.retry_interval);
 }
 
 TEST_F(RolloutEngineTest, NoopRolloutOnlyMovesTheLkgPointer) {

@@ -1,6 +1,7 @@
 #include "qvisor/hierarchy.hpp"
 
 #include "qvisor/preprocessor.hpp"
+#include "qvisor/static_analysis.hpp"
 
 #include <gtest/gtest.h>
 
@@ -187,14 +188,18 @@ TEST(Flatten, NestedShareReportsApproximation) {
 }
 
 TEST(Flatten, WeightsReported) {
-  const std::vector<TenantSpec> tenants = {tenant(1, "a"), tenant(2, "b")};
-  const auto result = flatten_to_plan(expr("a * 2 + b"), tenants);
-  ASSERT_TRUE(result.ok());
-  bool mentions_weight = false;
-  for (const auto& note : result.approximations) {
-    if (note.find("weight") != std::string::npos) mentions_weight = true;
+  const std::vector<TenantSpec> tenants = {tenant(1, "a"), tenant(2, "b"),
+                                           tenant(3, "c")};
+  // A tenant's weight, and a weighted sub-expression's.
+  for (const char* text : {"a * 2 + b + c", "(a >> b) * 2 + c"}) {
+    const auto result = flatten_to_plan(expr(text), tenants);
+    ASSERT_TRUE(result.ok());
+    bool mentions_weight = false;
+    for (const auto& note : result.approximations) {
+      if (note.find("weight") != std::string::npos) mentions_weight = true;
+    }
+    EXPECT_TRUE(mentions_weight) << text;
   }
-  EXPECT_TRUE(mentions_weight);
 }
 
 TEST(Flatten, DegradesToFitRankSpace) {
@@ -211,6 +216,66 @@ TEST(Flatten, DegradesToFitRankSpace) {
 TEST(Flatten, UnknownTenantFails) {
   EXPECT_FALSE(flatten_to_plan(expr("a + ghost"),
                                {tenant(1, "a")}).ok());
+}
+
+TEST(Flatten, SpecNamesMatchTheExpressionBothWays) {
+  // A spec the expression does not mention would fall to the
+  // unknown-tenant path at run time; the synthesizer rejects it too.
+  const auto unmentioned = flatten_to_plan(
+      expr("a >> b"), {tenant(1, "a"), tenant(2, "b"), tenant(3, "c")});
+  EXPECT_FALSE(unmentioned.ok());
+  EXPECT_NE(unmentioned.error.find("c"), std::string::npos);
+  EXPECT_FALSE(flatten_to_plan(expr("a"), {tenant(1, "a"), tenant(2, "a")})
+                   .ok());
+  EXPECT_FALSE(flatten_to_plan(expr("a"), {tenant(1, "a"), tenant(2, "")})
+                   .ok());
+}
+
+TEST(Flatten, PositionsFollowTheStrata) {
+  // Tier: the top-level '>>' part; group: the tier's '>' part; index:
+  // the tenant's place among its group's tenants.
+  const auto result = flatten_to_plan(
+      expr("a >> (b >> c) > d + e"),
+      {tenant(1, "a"), tenant(2, "b"), tenant(3, "c"), tenant(4, "d"),
+       tenant(5, "e")});
+  ASSERT_TRUE(result.ok()) << result.error;
+  const std::map<std::string, std::vector<std::size_t>> want = {
+      {"a", {0, 0, 0}}, {"b", {1, 0, 0}}, {"c", {1, 0, 1}},
+      {"d", {1, 1, 0}}, {"e", {1, 1, 1}}};
+  for (const auto& [name, pos] : want) {
+    const auto* tp = result.plan->find(name);
+    ASSERT_NE(tp, nullptr) << name;
+    EXPECT_EQ((std::vector<std::size_t>{tp->tier, tp->group,
+                                        tp->index_in_group}),
+              pos)
+        << name;
+  }
+}
+
+TEST(Flatten, AnalyzerSeesThePreferenceOfAFlattenedPlan) {
+  const std::vector<TenantSpec> tenants = {tenant(1, "a"), tenant(2, "b"),
+                                           tenant(3, "c")};
+  const auto result = flatten_to_plan(expr("a > b + c"), tenants);
+  ASSERT_TRUE(result.ok()) << result.error;
+  const auto report = StaticAnalyzer().analyze(*result.plan, tenants);
+  EXPECT_FALSE(report.has_violations()) << report.to_string();
+  EXPECT_NE(report.to_string().find("[WARN] preference"), std::string::npos)
+      << report.to_string();
+}
+
+TEST(Flatten, DegradedNestedPlanUsesLargestLevelCountThatFits) {
+  // "(a >> b) + c" takes two bands: 2 * 50 levels fill 100 ranks
+  // exactly, where halving from 256 would stop at 32.
+  SynthesizerConfig cfg;
+  cfg.rank_space = 100;
+  cfg.levels_per_group = 256;
+  const auto result = flatten_to_plan(
+      expr("(a >> b) + c"), {tenant(1, "a"), tenant(2, "b"), tenant(3, "c")},
+      cfg);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_TRUE(result.plan->degraded);
+  EXPECT_EQ(result.plan->find("a")->transform.levels(), 50u);
+  EXPECT_EQ(result.plan->find("b")->transform.out_max(), 99u);
 }
 
 TEST(Flatten, PlanInstallsIntoPreprocessor) {
